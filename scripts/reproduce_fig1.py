@@ -6,7 +6,6 @@ detector for comparison), writes the CSV/JSON artifacts under out/, and
 prints normalized bar tables to stdout.
 """
 import argparse
-import dataclasses
 from pathlib import Path
 
 from nestedmzi import spectra
@@ -14,17 +13,8 @@ from nestedmzi.scenario import MIRRORS, standard_case
 
 
 def run_case(case, detector, model, outdir):
-    sc = standard_case(case)
-    ts = spectra.sample_detector(sc, detector, model)
-    spec = spectra.power_spectrum(ts)
-    report = spectra.attribute_peaks(spec, sc, detector)
-    report = dataclasses.replace(report, model=model)
-
-    outdir.mkdir(parents=True, exist_ok=True)
-    spectra.write_timeseries_csv(ts, outdir / "timeseries.csv")
-    spectra.write_spectrum_csv(spec, outdir / "spectrum.csv")
-    spectra.write_attribution_json(report, outdir / "attribution.json")
-    spectra.write_bars_csv(report, outdir / "bars.csv")
+    ts, spec, report = spectra.run(standard_case(case), detector, model)
+    spectra.write_artifacts(outdir, ts, spec, report)
 
     bars = report.normalized_bars()
     print(f"case ({case})  detector={detector}  model={model}")

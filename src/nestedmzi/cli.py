@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 validation/physics failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -69,7 +68,7 @@ def cmd_fock(args) -> int:
     order = sc.series_order
 
     def projector_table():
-        return fock.case_probability_table(args.case, sc.epsilon, order)
+        return fock.probability_table(sc.phi, sc.kappa, sc.epsilon, order)
 
     def bcjlss_table():
         state = fock.bcjlss_output_state(sc.phi, sc.kappa, order)
@@ -101,17 +100,7 @@ def cmd_fock(args) -> int:
 def cmd_spectrum(args) -> int:
     sc = build_scenario(args)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        name: outdir / name
-        for name in (
-            "timeseries.csv",
-            "spectrum.csv",
-            "attribution.json",
-            "bars.csv",
-        )
-    }
-    existing = [str(p) for p in paths.values() if p.exists()]
+    existing = [str(outdir / a) for a in spectra.ARTIFACTS if (outdir / a).exists()]
     if existing and not args.force:
         print(
             f"refusing to overwrite {existing}; pass --force to allow",
@@ -119,15 +108,8 @@ def cmd_spectrum(args) -> int:
         )
         return 1
 
-    ts = spectra.sample_detector(sc, args.detector, args.model)
-    spec = spectra.power_spectrum(ts)
-    report = spectra.attribute_peaks(spec, sc, args.detector)
-    report = dataclasses.replace(report, model=args.model)
-
-    spectra.write_timeseries_csv(ts, paths["timeseries.csv"])
-    spectra.write_spectrum_csv(spec, paths["spectrum.csv"])
-    spectra.write_attribution_json(report, paths["attribution.json"])
-    spectra.write_bars_csv(report, paths["bars.csv"])
+    ts, spec, report = spectra.run(sc, args.detector, args.model)
+    spectra.write_artifacts(outdir, ts, spec, report)
 
     bars = report.normalized_bars()
     print(f"case {args.case}, detector {args.detector}, model {args.model}")
@@ -136,7 +118,7 @@ def cmd_spectrum(args) -> int:
             print(f"  {m}  {bars[m]:.6f}")
     if report.note:
         print(f"  note: {report.note}")
-    print(f"wrote {len(paths)} files to {outdir}")
+    print(f"wrote {len(spectra.ARTIFACTS)} files to {outdir}")
     return 0
 
 

@@ -211,13 +211,20 @@ def projection_leading_coeff(state: ModeState, mirror: str) -> float:
     return total.coeffs[2].real
 
 
-def case_probability_table(case_id: str, epsilon: float, order: int = 4) -> dict:
+def probability_table(
+    phi: float, kappa: float, epsilon: float, order: int = 4
+) -> dict:
     """Projector probabilities for all five mirrors plus the zero mode."""
-    sc = standard_case(case_id)
-    state = output_state(sc.phi, sc.kappa, order)
+    state = output_state(phi, kappa, order)
     table = {m: mode_projection_probability(state, m, epsilon) for m in MIRRORS}
     table["zero"] = zero_mode_probability(state, epsilon)
     return table
+
+
+def case_probability_table(case_id: str, epsilon: float, order: int = 4) -> dict:
+    """probability_table of a canonical case (a, b or c)."""
+    sc = standard_case(case_id)
+    return probability_table(sc.phi, sc.kappa, epsilon, order)
 
 
 def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:

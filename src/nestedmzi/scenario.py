@@ -51,6 +51,13 @@ class Scenario:
             raise ValueError(f"kappa must be 0 or 1, got {self.kappa}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        samples = self.sample_rate * self.duration
+        if not math.isfinite(samples) or abs(samples - round(samples)) > _FREQ_TOL:
+            # the periodogram is leakage-free only over whole samples
+            raise ValueError(
+                f"sample_rate {self.sample_rate} * duration {self.duration} = "
+                f"{samples} is not an integer number of samples"
+            )
         if self.series_order < 3:
             raise ValueError("series_order must be >= 3")
         if set(self.mirror_freq) != set(MIRRORS):
@@ -72,7 +79,12 @@ class Scenario:
         freqs = [self.mirror_freq[m] for m in MIRRORS]
         top = max(
             max(2.0 * f for f in freqs),
-            max(fi + fj for fi in freqs for fj in freqs if fi is not fj),
+            max(
+                fi + fj
+                for i, fi in enumerate(freqs)
+                for j, fj in enumerate(freqs)
+                if i != j
+            ),
         )
         if self.sample_rate <= 4.0 * top:
             raise ValueError(

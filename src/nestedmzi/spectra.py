@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -100,18 +101,15 @@ def sample_detector(
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     n = int(round(scenario.sample_rate * scenario.duration))
-    out = np.empty(n)
-    for i in range(n):
-        t = i / scenario.sample_rate
-        if model == "exact":
-            field = beam.field_at(scenario, t)
-            if detector == "total":
-                out[i] = beam.total_intensity(field)
-            else:
-                out[i] = beam.quadcell_signal(field)
-        else:
-            i_lin, di_lin = beam.linearized_field_intensity(scenario, t)
-            out[i] = i_lin if detector == "total" else di_lin
+    t = np.arange(n) / scenario.sample_rate
+    coeffs = beam.path_coefficients(scenario)
+    shifts = beam.path_shifts(scenario, t)
+    if model == "exact":
+        engine = beam.exact_intensity if detector == "total" else beam.exact_quadcell
+        out = engine(coeffs, shifts)
+    else:
+        i_lin, di_lin = beam.linearized_intensities(coeffs, shifts)
+        out = i_lin if detector == "total" else di_lin
     return TimeSeries(out, scenario.sample_rate, scenario.duration)
 
 
@@ -137,12 +135,13 @@ def power_spectrum(ts: TimeSeries) -> PowerSpectrum:
 
 
 def attribute_peaks(
-    spec: PowerSpectrum, scenario: Scenario, detector: str
+    spec: PowerSpectrum, scenario: Scenario, detector: str, *, model: str = ""
 ) -> AttributionReport:
     """Read one bin per mirror (2 f_i for total, f_i for quad).
 
     Refuses to attribute when the frequency plan has collisions, since a
     colliding combination tone would be credited to the wrong mirror.
+    ``model`` is recorded in the report; attribution does not depend on it.
     """
     if detector not in DETECTORS:
         raise ValueError(f"detector must be one of {DETECTORS}")
@@ -156,38 +155,56 @@ def attribute_peaks(
 
     mult = 2.0 if detector == "total" else 1.0
     mirrors = {}
-    attributed_bins = set()
+    residual_bins = np.ones(len(spec.power), dtype=bool)
+    residual_bins[0] = False
     for m in MIRRORS:
         if scenario.vib_amplitude[m] <= 0:
             continue
         f = mult * scenario.mirror_freq[m]
         k = int(round(f * spec.duration))
         mirrors[m] = {"freq": f, "power": float(spec.power[k])}
-        attributed_bins.add(k)
+        residual_bins[k] = False
 
     top = max((v["power"] for v in mirrors.values()), default=0.0)
     threshold = RESIDUAL_THRESHOLD * top
-    residual = []
-    for k in range(1, len(spec.power)):
-        if k in attributed_bins:
-            continue
-        p = float(spec.power[k])
-        if p > threshold and p > 0.0:
-            residual.append((float(spec.freqs[k]), p))
+    residual_bins &= (spec.power > threshold) & (spec.power > 0.0)
+    (ks,) = np.nonzero(residual_bins)
 
     note = ""
     if top <= 0.0:
         note = "all attributed powers are zero (flat spectrum)"
     return AttributionReport(
         mirrors=mirrors,
-        residual=tuple(residual),
+        residual=tuple(zip(spec.freqs[ks].tolist(), spec.power[ks].tolist())),
         detector=detector,
-        model="",
+        model=model,
         note=note,
     )
 
 
+def run(
+    scenario: Scenario, detector: str = "total", model: str = "exact"
+) -> tuple:
+    """Sample, transform and attribute one detector: (ts, spec, report)."""
+    ts = sample_detector(scenario, detector, model)
+    spec = power_spectrum(ts)
+    return ts, spec, attribute_peaks(spec, scenario, detector, model=model)
+
+
 # -- file output ---------------------------------------------------------
+
+ARTIFACTS = ("timeseries.csv", "spectrum.csv", "attribution.json", "bars.csv")
+
+
+def write_artifacts(outdir, ts: TimeSeries, spec: PowerSpectrum,
+                    report: AttributionReport) -> None:
+    """Write the four ARTIFACTS of one run into outdir (created if missing)."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    write_timeseries_csv(ts, outdir / "timeseries.csv")
+    write_spectrum_csv(spec, outdir / "spectrum.csv")
+    write_attribution_json(report, outdir / "attribution.json")
+    write_bars_csv(report, outdir / "bars.csv")
 
 
 def write_timeseries_csv(ts: TimeSeries, path) -> None:

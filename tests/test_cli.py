@@ -218,3 +218,40 @@ def test_scenario_file_layering(tmp_path, capsys):
     assert json.loads(out)["projector"]["A"] == pytest.approx(
         0.005**2 / 9, rel=1e-3
     )
+
+
+def test_fock_scenario_file_phi_is_honoured(tmp_path, capsys):
+    # phi = 1 moves the case-b E/F projector probabilities from the
+    # eps^4 floor (2.2e-9) to 1.02e-5
+    path = tmp_path / "phi1.json"
+    path.write_text(standard_case("b").with_overrides(phi=1.0).to_json())
+    code, out, _ = run(
+        capsys, "fock", "--case", "b", "--scenario-file", str(path), "--json"
+    )
+    assert code == 0
+    table = json.loads(out)["projector"]
+    assert table["E"] == pytest.approx(1.0215682914413006e-05, rel=1e-12)
+    assert table["F"] == pytest.approx(1.0215682914413006e-05, rel=1e-12)
+    code, out, _ = run(capsys, "fock", "--case", "b", "--json")
+    assert json.loads(out)["projector"]["E"] < 1e-8
+
+
+def test_fock_scenario_file_kappa_is_honoured(tmp_path, capsys):
+    path = tmp_path / "blocked.json"
+    path.write_text(standard_case("b").with_overrides(kappa=0.0).to_json())
+    code, out, _ = run(
+        capsys, "fock", "--case", "b", "--scenario-file", str(path), "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["projector"]["C"] == 0.0
+
+
+def test_non_integer_sample_count_exits_one(tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "spectrum", "--case", "b", "--rate", "1000.4", "--out", str(tmp_path / "x"),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "1000.4" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()

@@ -123,3 +123,30 @@ def test_single_mirror_plan_trivially_clean():
     assert report.ok
     assert report.fundamentals == (41.0,)
     assert report.sums == ()
+
+
+@pytest.mark.parametrize(
+    "rate,duration", [(1000.4, 1.0), (1024.3, 2.0), (math.inf, 1.0), (math.nan, 1.0)]
+)
+def test_non_integer_sample_count_rejected(rate, duration):
+    with pytest.raises(ValueError) as exc:
+        standard_case("b").with_overrides(sample_rate=rate, duration=duration)
+    assert str(rate) in str(exc.value) and str(duration) in str(exc.value)
+
+
+def test_sample_count_within_rounding_accepted():
+    sc = standard_case("b").with_overrides(duration=1.0 + 1e-13)
+    assert int(round(sc.sample_rate * sc.duration)) == 1024
+
+
+def test_rate_bound_compares_mirror_indices_not_float_identity():
+    # one float object for every mirror: the pair-sum bound must still see
+    # the five distinct mirrors (identity comparison left no pairs and
+    # max() failed on an empty sequence)
+    f = 31.0
+    sc = Scenario(phi=0.0, kappa=1.0, mirror_freq={m: f for m in MIRRORS})
+    assert sc.mirror_freq["A"] is sc.mirror_freq["F"]
+    with pytest.raises(ValueError, match="too low; need > 248"):
+        Scenario(
+            phi=0.0, kappa=1.0, mirror_freq={m: f for m in MIRRORS}, sample_rate=200.0
+        )

@@ -217,3 +217,71 @@ def test_report_json_shape():
     assert set(data) == {"mirror", "residual", "detector", "model", "note"}
     assert set(data["mirror"]) == set(MIRRORS)
     assert all(set(v) == {"freq", "power"} for v in data["mirror"].values())
+
+
+def residual_by_loop(spec, report):
+    """The residual scan one bin at a time: every bin above the threshold
+    except DC and the attributed bins, as Python floats in bin order."""
+    attributed = {int(round(v["freq"] * spec.duration)) for v in report.mirrors.values()}
+    threshold = spectra.RESIDUAL_THRESHOLD * report.max_power()
+    out = []
+    for k in range(1, len(spec.power)):
+        p = float(spec.power[k])
+        if k not in attributed and p > threshold and p > 0.0:
+            out.append((float(spec.freqs[k]), p))
+    return tuple(out)
+
+
+def test_residual_matches_bin_by_bin_scan():
+    sizes = []
+    for case in "abc":
+        sc = standard_case(case)
+        for detector in spectra.DETECTORS:
+            spec = power_spectrum(sample_detector(sc, detector, "exact"))
+            report = attribute_peaks(spec, sc, detector)
+            assert report.residual == residual_by_loop(spec, report)
+            assert all(type(f) is float and type(p) is float for f, p in report.residual)
+            sizes.append(len(report.residual))
+    assert max(sizes) > 0  # combination tones make some residuals non-empty
+
+
+def test_attribution_records_model():
+    sc = standard_case("b")
+    spec = power_spectrum(sample_detector(sc, "total", "linearized"))
+    assert attribute_peaks(spec, sc, "total").model == ""
+    report = attribute_peaks(spec, sc, "total", model="linearized")
+    assert report.model == "linearized"
+    assert report.to_dict()["model"] == "linearized"
+
+
+def test_run_chains_sample_spectrum_and_attribution():
+    sc = standard_case("c")
+    ts, spec, report = spectra.run(sc, "quad", "exact")
+    assert np.array_equal(ts.samples, sample_detector(sc, "quad", "exact").samples)
+    assert np.array_equal(spec.power, power_spectrum(ts).power)
+    assert report == attribute_peaks(spec, sc, "quad", model="exact")
+
+
+def test_write_artifacts_matches_the_four_writers(tmp_path):
+    ts, spec, report = spectra.run(standard_case("a"), "total", "exact")
+    spectra.write_artifacts(tmp_path / "new" / "run", ts, spec, report)
+    old = tmp_path / "old"
+    old.mkdir()
+    spectra.write_timeseries_csv(ts, old / "timeseries.csv")
+    spectra.write_spectrum_csv(spec, old / "spectrum.csv")
+    spectra.write_attribution_json(report, old / "attribution.json")
+    spectra.write_bars_csv(report, old / "bars.csv")
+    assert sorted(p.name for p in old.iterdir()) == sorted(spectra.ARTIFACTS)
+    for name in spectra.ARTIFACTS:
+        assert (tmp_path / "new" / "run" / name).read_bytes() == (old / name).read_bytes()
+
+
+def test_dc_bin_is_never_residual():
+    sc = standard_case("a")
+    power = np.zeros(513)
+    power[0] = 1.0  # DC is removed before the transform; plant it anyway
+    power[62] = 0.5  # 2 f_A
+    power[68] = 0.25  # f_A + f_B
+    spec = spectra.PowerSpectrum(np.arange(513.0), power, 1.0)
+    report = attribute_peaks(spec, sc, "total")
+    assert report.residual == ((68.0, 0.25),)
