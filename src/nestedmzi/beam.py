@@ -88,20 +88,159 @@ def path_shifts(scenario: Scenario, t) -> np.ndarray:
     return np.array([d["C"], d["A"] + outer, d["B"] + outer])
 
 
+# -- erf -----------------------------------------------------------------
+#
+# A numpy port of erf from fdlibm's s_erf.c (Sun Microsystems, freely
+# redistributable; glibc's erf descends from it): the same bands, rational
+# approximations and coefficients, each band evaluated only on its own
+# elements. It agrees with the standard library's erf within 1 ulp.
+# scipy.special is not used because importing it costs more than a spectrum
+# run spends sampling.
+
+_ERF_TINY = 2.0**-28
+_ERF_SMALL = 0.84375
+# |x| below which erfc uses the ra/sa fit: the double with the high word
+# 0x4006DB6E and a zero low word, about 1/0.35, as s_erf.c compares it.
+_ERFC_SPLIT = float.fromhex("0x1.6db6ep+1")
+_ERF_ONE = 6.0  # erf rounds to +-1 from here on
+_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
+
+_EFX = 1.28379167095512586316e-01  # 2/sqrt(pi) - 1
+_ERX = 8.45062911510467529297e-01  # erf(x) = erx + P/Q on [0.84375, 1.25)
+# Coefficients, lowest order first; each denominator starts with 1.
+_PP = (
+    1.28379167095512558561e-01, -3.25042107247001499370e-01,
+    -2.84817495755985104766e-02, -5.77027029648944159157e-03,
+    -2.37630166566501626084e-05,
+)
+_QQ = (
+    1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+    5.08130628187576562776e-03, 1.32494738004321644526e-04,
+    -3.96022827877536812320e-06,
+)
+_PA = (
+    -2.36211856075265944077e-03, 4.14856118683748331666e-01,
+    -3.72207876035701323847e-01, 3.18346619901161753674e-01,
+    -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+    -2.16637559486879084300e-03,
+)
+_QA = (
+    1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+    7.18286544141962662868e-02, 1.26171219808761642112e-01,
+    1.36370839120290507362e-02, 1.19844998467991074170e-02,
+)
+_RA = (
+    -9.86494403484714822705e-03, -6.93858572707181764372e-01,
+    -1.05586262253232909814e01, -6.23753324503260060396e01,
+    -1.62396669462573470355e02, -1.84605092906711035994e02,
+    -8.12874355063065934246e01, -9.81432934416914548592e00,
+)
+_SA = (
+    1.0, 1.96512716674392571292e01, 1.37657754143519042600e02,
+    4.34565877475229228821e02, 6.45387271733267880336e02,
+    4.29008140027567833386e02, 1.08635005541779435134e02,
+    6.57024977031928170135e00, -6.04244152148580987438e-02,
+)
+_RB = (
+    -9.86494292470009928597e-03, -7.99283237680523006574e-01,
+    -1.77579549177547519889e01, -1.60636384855821916062e02,
+    -6.37566443368389627722e02, -1.02509513161107724954e03,
+    -4.83519191608651397019e02,
+)
+_SB = (
+    1.0, 3.03380607434824582924e01, 3.25792512996573918826e02,
+    1.53672958608443695994e03, 3.19985821950859553908e03,
+    2.55305040643316442583e03, 4.74528541206955367215e02,
+    -2.24409524465858183362e01,
+)
+
+
+def _horner(z, coeffs):
+    """c0 + z (c1 + z (c2 + ...)), nested and rounded as in s_erf.c."""
+    out = z * coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        out += c
+        out *= z
+    out += coeffs[0]
+    return out
+
+
+def _erf_small(x, ax):
+    """|x| < 0.84375: x + x P(x^2)/Q(x^2), and x + efx x below 2^-28.
+
+    s_erf.c rescales below 2^-1015 only to keep the underflow flag clear;
+    x + efx x is as accurate there.
+    """
+    z = x * x
+    y = _horner(z, _PP)
+    y /= _horner(z, _QQ)
+    np.copyto(y, _EFX, where=ax < _ERF_TINY)
+    y *= x
+    y += x
+    return y
+
+
+def _erf_middle(x, ax):
+    """0.84375 <= |x| < 1.25: sign(x) (erx + P(|x| - 1)/Q(|x| - 1))."""
+    s = ax - 1.0
+    p = _horner(s, _PA)
+    p /= _horner(s, _QA)
+    p += _ERX
+    return np.copysign(p, x)
+
+
+def _erf_tail(x, ax, r_coeffs, s_coeffs):
+    """1.25 <= |x| < 6: sign(x) (1 - erfc|x|), erfc x = exp(-x^2 - 0.5625 + R/S) / x.
+
+    R/S is a rational function of 1/x^2. z is |x| with the low 32 bits of
+    its mantissa cleared, so z^2 is exact and only the small remainder
+    x^2 - z^2 = (x - z)(x + z) rounds.
+    """
+    s = 1.0 / (ax * ax)
+    ratio = _horner(s, r_coeffs) / _horner(s, s_coeffs)
+    z = (ax.view(np.uint64) & _HIGH_WORD).view(np.float64)
+    r = np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + ratio)
+    return np.copysign(1.0 - r / ax, x)
+
+
+# (upper bound of |x|, kernel) per band below 6, in increasing order.
+_ERF_BANDS = (
+    (_ERF_SMALL, _erf_small),
+    (1.25, _erf_middle),
+    (_ERFC_SPLIT, functools.partial(_erf_tail, r_coeffs=_RA, s_coeffs=_SA)),
+    (_ERF_ONE, functools.partial(_erf_tail, r_coeffs=_RB, s_coeffs=_SB)),
+)
+
+
+def erf(x) -> np.ndarray:
+    """Error function of a float array (or scalar), as a float array.
+
+    NaN propagates, erf(-0.0) is -0.0 and |x| >= 6 gives +-1. When every
+    |x| < 0.84375, as for every quad-cell argument at small shifts, one
+    rational function runs on the whole array.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = x.ravel()
+    ax = np.abs(x)
+    if ax.max(initial=0.0) < _ERF_SMALL:  # False when x holds a NaN
+        return _erf_small(x, ax).reshape(shape)
+    out = np.where(ax >= _ERF_ONE, np.copysign(1.0, x), x)
+    low = 0.0
+    for high, kernel in _ERF_BANDS:
+        inside = (ax >= low) & (ax < high)
+        if inside.any():
+            out[inside] = kernel(x[inside], ax[inside])
+        low = high
+    return out.reshape(shape)
+
+
 # -- array engine --------------------------------------------------------
 #
 # Every closed form takes coefficients of shape (P,) or (P, N) and shifts of
 # shape (P,) or (P, N) and returns values of the broadcast trailing shape:
 # N time samples of one scenario, or N fields padded to P paths with zero
 # coefficients. The scalar functions further down wrap these.
-
-_erf_object = np.frompyfunc(math.erf, 1, 1)
-
-
-def _erf(x) -> np.ndarray:
-    # frompyfunc returns a Python float on 0-d input and an object array
-    # otherwise; both become float arrays here.
-    return np.asarray(_erf_object(x), dtype=float)
 
 
 def _pairs(coeffs, shifts):
@@ -140,8 +279,20 @@ def exact_quadcell(coeffs, shifts):
         total = total + (
             weight
             * np.exp(-((a - b) ** 2) / 2.0)
-            * _erf((a + b) / math.sqrt(2.0))
+            * erf((a + b) / math.sqrt(2.0))
         )
+    return SQRT_HALF_PI * total
+
+
+def second_order_intensities(coeffs, shifts):
+    """Taylor expansion of exact_intensity through second order in shifts.
+
+    I_T / sqrt(pi/2) = sum_j |c_j|^2
+                     + sum_{j != k} Re(c_j conj(c_k)) (1 - (s_j - s_k)^2 / 2).
+    """
+    total = 0.0
+    for weight, a, b in _pairs(coeffs, shifts):
+        total = total + weight * (1.0 - ((a - b) ** 2) / 2.0)
     return SQRT_HALF_PI * total
 
 
@@ -264,10 +415,8 @@ def linearized_field_intensity(scenario: Scenario, t: float):
 
 
 def second_order_intensity(scenario: Scenario, t: float) -> float:
-    """Taylor expansion of total_intensity through second order in shifts.
+    """second_order_intensities of the scenario's field at time t.
 
-    I_T / sqrt(pi/2) = sum_j |c_j|^2
-                     + sum_{j != k} c_j conj(c_k) (1 - (s_j - s_k)^2 / 2).
     Predicts which doubled tones survive per case; differs from the exact
     value at fourth order in the shifts. The smallness bound applies to the
     individual mirror shifts (component shifts are sums of up to three).
@@ -275,14 +424,8 @@ def second_order_intensity(scenario: Scenario, t: float) -> float:
     bound = max(abs(d) for d in mirror_shifts(scenario, t).values())
     if bound > 0.05:
         raise ValueError(f"mirror shift {bound} exceeds the 0.05 expansion bound")
-    field = field_at(scenario, t)
-    comps = field.components
-    total = sum(abs(c.coeff) ** 2 for c in comps)
-    for j in range(len(comps)):
-        for k in range(len(comps)):
-            if j == k:
-                continue
-            cj, ck = comps[j], comps[k]
-            cross = (cj.coeff * ck.coeff.conjugate()).real
-            total += cross * (1.0 - ((cj.shift - ck.shift) ** 2) / 2.0)
-    return SQRT_HALF_PI * total
+    return float(
+        second_order_intensities(
+            path_coefficients(scenario), path_shifts(scenario, t)
+        )
+    )

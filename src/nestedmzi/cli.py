@@ -1,11 +1,14 @@
 """Command-line front end: fock, spectrum, plan-check, validate.
 
-Exit codes: 0 success, 1 validation/physics failure, 2 usage error.
+Exit codes: 0 success, 1 validation/physics failure, 2 usage error,
+141 (128 + SIGPIPE, the shell's status for a closed pipe) when the reader of
+standard output went away before the output was written.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -185,13 +188,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Output still buffered fails here, not at interpreter exit.
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so that the interpreter's final flush of
+        # what is left in the buffer cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

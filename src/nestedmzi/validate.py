@@ -182,7 +182,7 @@ def check_quartic_remainder():
             coeffs = beam.path_coefficients(sc)
             shifts = beam.path_shifts(sc, times)
             exact = beam.exact_intensity(coeffs, shifts)
-            second = np.array([beam.second_order_intensity(sc, t) for t in times])
+            second = beam.second_order_intensities(coeffs, shifts)
             # largest shift among the paths that carry light
             shift = np.max(np.abs(shifts[coeffs != 0]), axis=0)
             consts.append(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +259,26 @@ def test_non_integer_sample_count_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "1000.4" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The read end is closed before the CLI starts, so its first write
+    # meets a pipe with no reader.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nestedmzi.cli",
+             "fock", "--case", "a", "--compare", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 141, stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr

@@ -47,6 +47,18 @@ def loop_closed_forms(field):
     return beam.SQRT_HALF_PI * total, beam.SQRT_HALF_PI * quad
 
 
+def loop_second_order(sc, t):
+    """Second-order Taylor form by the per-component Python loop."""
+    comps = beam.field_at(sc, t).components
+    total = sum(abs(c.coeff) ** 2 for c in comps)
+    for j, cj in enumerate(comps):
+        for k, ck in enumerate(comps):
+            if j != k:
+                cross = (cj.coeff * ck.coeff.conjugate()).real
+                total += cross * (1.0 - ((cj.shift - ck.shift) ** 2) / 2.0)
+    return beam.SQRT_HALF_PI * total
+
+
 @st.composite
 def scenarios(draw):
     freqs = draw(
@@ -85,19 +97,21 @@ def test_sample_detector_matches_per_sample_scalar_calls(sc):
 
 def test_scalar_wrappers_match_the_per_pair_loops():
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        field = BeamField(
-            tuple(
-                BeamComponent(
-                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                    float(rng.uniform(-0.5, 0.5)),
+    # shifts up to 3 put the erf arguments in every band below 6
+    for max_shift in (0.5, 3.0):
+        for _ in range(200):
+            field = BeamField(
+                tuple(
+                    BeamComponent(
+                        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                        float(rng.uniform(-max_shift, max_shift)),
+                    )
+                    for _ in range(rng.integers(0, 4))
                 )
-                for _ in range(rng.integers(0, 4))
             )
-        )
-        total, quad = loop_closed_forms(field)
-        assert abs(beam.total_intensity(field) - total) <= TOL
-        assert abs(beam.quadcell_signal(field) - quad) <= TOL
+            total, quad = loop_closed_forms(field)
+            assert abs(beam.total_intensity(field) - total) <= TOL
+            assert abs(beam.quadcell_signal(field) - quad) <= TOL
 
 
 def test_padded_fields_match_unpadded_scalar_calls():
@@ -145,3 +159,85 @@ def test_figure_samples_match_stored_reference(case, detector, model):
     got = spectra.sample_detector(standard_case(case), detector, model).samples
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
+
+
+@pytest.mark.parametrize("case", "abc")
+def test_second_order_array_form_matches_the_per_time_loop(case):
+    sc = standard_case(case).with_overrides(
+        epsilon=0.04, vib_amplitude={m: 0.04 for m in MIRRORS}
+    )
+    times = np.arange(64) / 64.0
+    got = beam.second_order_intensities(
+        beam.path_coefficients(sc), beam.path_shifts(sc, times)
+    )
+    want = np.array([loop_second_order(sc, t) for t in times])
+    scalar = np.array([beam.second_order_intensity(sc, t) for t in times])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= TOL
+    assert np.max(np.abs(scalar - want)) <= TOL
+
+
+# -- erf kernel ------------------------------------------------------------
+
+# Band edges of the fdlibm erf; the kernel switches formulas at each.
+ERF_EDGES = (2.0**-28, 0.84375, 1.25, beam._ERFC_SPLIT, 6.0)
+
+
+def erf_grid():
+    parts = [np.linspace(0.0, 30.0, 30001)]
+    for edge in ERF_EDGES:
+        parts.append(edge + np.arange(-1000, 1001) * np.spacing(edge))
+        parts.append(np.linspace(0.5 * edge, 1.5 * edge, 5001))
+    parts.append(np.geomspace(5e-324, 2.3e-308, 1001))  # subnormals
+    parts.append(np.geomspace(2.3e-308, 1.0, 2001))
+    x = np.concatenate(parts)
+    return np.concatenate([x, -x])
+
+
+def test_erf_within_one_ulp_of_math_erf():
+    x = erf_grid()
+    got = beam.erf(x)
+    want = np.array([math.erf(v) for v in x])
+    miss = np.abs(got - want) > np.spacing(np.abs(want))
+    assert not np.any(miss), x[miss][:5]
+
+
+def test_erf_below_two_to_minus_28_is_the_linear_term():
+    # s_erf.c: erf(x) = x + efx x there, efx = 2/sqrt(pi) - 1
+    x = np.geomspace(2.0**-1015, 2.0**-28, 2001)[:-1]
+    x = np.concatenate([x, -x])
+    assert np.array_equal(beam.erf(x), x + 1.28379167095512586316e-01 * x)
+
+
+def test_erf_special_values():
+    got = beam.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]))
+    assert got[0] == 0.0 and not np.signbit(got[0])
+    assert got[1] == 0.0 and np.signbit(got[1])
+    assert got[2] == 1.0 and got[3] == -1.0
+    assert np.isnan(got[4])
+    # NaN takes the banded path; a lone NaN is still NaN
+    assert np.isnan(beam.erf(np.nan))
+    assert np.isnan(beam.erf(np.array([0.1, np.nan]))[1])
+
+
+def test_erf_shapes_and_scalars():
+    for value in (0.3, np.float64(0.3), np.array(0.3), 2.0, np.float64(-4.0)):
+        got = beam.erf(value)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        want = math.erf(float(value))
+        assert abs(float(got) - want) <= np.spacing(abs(want))
+    rng = np.random.default_rng(11)
+    for scale in (0.5, 5.0):
+        x = rng.uniform(-scale, scale, size=(3, 40))
+        got = beam.erf(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, beam.erf(x.ravel()).reshape(x.shape))
+    assert beam.erf(np.array([])).shape == (0,)
+
+
+def test_erf_value_does_not_depend_on_the_rest_of_the_array():
+    # An all-small array takes the single-ratio path; one large element
+    # sends the same values through the banded path.
+    x = np.concatenate([erf_grid(), [0.0]])
+    small = x[np.abs(x) < 0.84375]
+    assert np.array_equal(beam.erf(small), beam.erf(np.append(small, 5.0))[:-1])
