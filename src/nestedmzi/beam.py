@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import MIRRORS, Scenario
+from .scenario import MIRRORS, PATHS, Scenario
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -70,22 +70,25 @@ def mirror_shifts(scenario: Scenario, t) -> dict:
 # -- path table ----------------------------------------------------------
 
 
+# (path, mirror) incidence of scenario.PATHS: 1 where the path meets the mirror.
+_INCIDENCE = np.array([[m in path for m in MIRRORS] for path in PATHS], dtype=float)
+
+
 def path_coefficients(scenario: Scenario) -> np.ndarray:
-    """Coefficients of the C, A and B paths: (kappa, -1, e^{i phi})."""
+    """Coefficients of the scenario.PATHS (C, A, B): (kappa, -1, e^{i phi})."""
     return np.array(
         [scenario.kappa, -1.0, cmath.exp(1j * scenario.phi)], dtype=complex
     )
 
 
 def path_shifts(scenario: Scenario, t) -> np.ndarray:
-    """Shifts of the C, A and B paths, shape (3,) + shape(t).
+    """Shifts of the scenario.PATHS, shape (len(PATHS),) + shape(t).
 
-    Path C hits mirror C only; the inner-arm paths hit A or B plus the
-    outer mirrors E and F.
+    ``t`` is a time or a 1-D array of times. A path's shift is the sum of
+    the shifts of the mirrors it meets.
     """
     d = mirror_shifts(scenario, t)
-    outer = d["E"] + d["F"]
-    return np.array([d["C"], d["A"] + outer, d["B"] + outer])
+    return _INCIDENCE @ np.array([d[m] for m in MIRRORS])
 
 
 # -- erf -----------------------------------------------------------------

@@ -32,11 +32,32 @@ def _parse_freq_overrides(items):
     return out
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read_scenario_file(path: str) -> Scenario:
+    """The scenario in a JSON file; exit 2 if the file holds no JSON object.
+
+    Values inside the object are checked by Scenario (exit 1 on a bad one).
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        _usage_error(f"cannot read --scenario-file {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        _usage_error(f"--scenario-file {path} is not JSON: {exc}")
+    if not isinstance(data, dict):
+        _usage_error(f"--scenario-file {path} holds no JSON object")
+    return Scenario.from_dict(data)
+
+
 def build_scenario(args) -> Scenario:
     """Precedence: flags > scenario file > standard-case defaults."""
     sc = standard_case(args.case)
     if getattr(args, "scenario_file", None):
-        sc = Scenario.from_json(Path(args.scenario_file).read_text())
+        sc = _read_scenario_file(args.scenario_file)
     overrides = {}
     if getattr(args, "epsilon", None) is not None:
         overrides["epsilon"] = args.epsilon

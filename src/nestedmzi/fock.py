@@ -1,11 +1,11 @@
 """Single-photon frequency-mode model of the nested interferometer.
 
 A photon bouncing off a vibrating mirror picks up a small sideband at the
-mirror's frequency. Modes are labeled by a 5-bit occupancy string in mirror
-order A,B,C,E,F ("10000" = sideband from mirror A only, "00000" = the
-unmodulated zero mode). Amplitudes are truncated power series in the kick
-amplitude eps (see series.EpsSeries), so each order can be inspected
-exactly.
+mirror's frequency. Modes are labeled by an occupancy string with one bit
+per mirror, in mirror order A,B,C,E,F ("10000" = sideband from mirror A
+only, "00000" = the unmodulated zero mode). Amplitudes are truncated power
+series in the kick amplitude eps (see series.EpsSeries), so each order can
+be inspected exactly; a ModeState keeps them as one row per mode.
 
 Two detection procedures are implemented side by side:
 
@@ -22,66 +22,93 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .scenario import MIRRORS, Scenario, standard_case
+import numpy as np
+
+from .scenario import MIRRORS, PATHS, Scenario, standard_case
 from .series import EpsSeries, inv_sqrt_one_plus_sq
 
-ZERO_LABEL = "00000"
+ZERO_LABEL = "0" * len(MIRRORS)
 
-_BIT = {m: i for i, m in enumerate(MIRRORS)}
-
-# Detector-port path decomposition: amplitude and mirrors encountered.
-# path-C = kappa/3 via the free arm; path-A and path-B thread the inner
-# loop via E and F. The phases are fixed uniquely by matching the known
-# output state: the C-mode term forces kappa/3, the A-mode term e^{i phi}/3
-# and the B-mode term -1/3; the zero-mode coefficient e^{i phi}/3 and the
-# E/F coefficients (e^{i phi}-1)/3 then come out as consistency checks.
-def _detector_paths(phi: float, kappa: float):
-    return (
-        (kappa / 3.0, ("C",)),
-        (cmath.exp(1j * phi) / 3.0, ("E", "A", "F")),
-        (-1.0 / 3.0, ("E", "B", "F")),
-    )
+# Row i is the mode whose label, read as a binary number, is i: the first
+# mirror is the highest bit, and row order is sorted-label order.
+_ROWS = np.arange(2 ** len(MIRRORS))
+_BIT = {m: 1 << (len(MIRRORS) - 1 - i) for i, m in enumerate(MIRRORS)}
+# Per mirror: (rows without its bit, the same rows with the bit set).
+_PAIRS = {
+    m: np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))
+    for m, b in _BIT.items()
+}
 
 
-def label_has_bit(label: str, mirror: str) -> bool:
-    return label[_BIT[mirror]] == "1"
-
-
-def label_with_bit(label: str, mirror: str) -> str:
-    i = _BIT[mirror]
-    return label[:i] + "1" + label[i + 1 :]
-
-
-def _check_label(label: str) -> None:
-    if len(label) != 5 or any(ch not in "01" for ch in label):
+def _row(label: str) -> int:
+    if len(label) != len(MIRRORS) or any(ch not in "01" for ch in label):
         raise ValueError(f"bad mode label {label!r}")
+    return int(label, 2)
 
 
-@dataclass(frozen=True)
+def _label(row) -> str:
+    return format(row, f"0{len(MIRRORS)}b")
+
+
+def _bit_values(state: ModeState, mirror: str, eps: float) -> np.ndarray:
+    """Amplitudes at eps of the modes whose label carries the mirror's bit."""
+    return state.coeffs[_PAIRS[mirror][1]] @ eps ** np.arange(state.order + 1)
+
+
+def _product_matrices(c: np.ndarray) -> np.ndarray:
+    """T[..., j, k] = c[..., k - j] (0 for k < j), shape (..., n, n): x @ T
+    is the product series of x and each series row of c, truncated."""
+    n = c.shape[-1]
+    padded = np.concatenate((c, np.zeros(c.shape[:-1] + (n - 1,), complex)), axis=-1)
+    r = np.arange(n)
+    return padded[..., r - r[:, None]]
+
+
+def _norm_coeffs(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the series sum_i |c_i|^2 over the series rows c_i."""
+    return (c[:, None] @ _product_matrices(c.conj())).sum(axis=0)[0]
+
+
 class ModeState:
-    """Map from 5-bit mode label to amplitude series. Missing label = 0."""
+    """Built from {label: EpsSeries}; a label not given has amplitude 0.
 
-    amplitudes: dict
+    ``coeffs[i]`` holds the series coefficients of the mode in row i and
+    ``mask[i]`` marks it populated. The mask is not derived from the
+    coefficients: a populated mode may cancel to an all-zero series.
+    """
 
-    def __post_init__(self):
-        for label in self.amplitudes:
-            _check_label(label)
-        orders = {s.order for s in self.amplitudes.values()}
+    __slots__ = ("coeffs", "mask")
+
+    def __init__(self, amplitudes: dict):
+        rows = [_row(label) for label in amplitudes]
+        orders = {s.order for s in amplitudes.values()}
         if len(orders) > 1:
             raise ValueError("mixed series orders in one state")
+        self.coeffs = np.zeros((len(_ROWS), max(orders, default=0) + 1), complex)
+        for row, s in zip(rows, amplitudes.values()):
+            self.coeffs[row] = s.coeffs
+        self.mask = np.isin(_ROWS, rows)
+
+    @classmethod
+    def _of(cls, coeffs: np.ndarray, mask: np.ndarray) -> "ModeState":
+        state = cls.__new__(cls)
+        state.coeffs, state.mask = coeffs, mask
+        return state
 
     @property
     def order(self) -> int:
-        if not self.amplitudes:
-            return 0
-        return next(iter(self.amplitudes.values())).order
+        return self.coeffs.shape[1] - 1
+
+    @property
+    def amplitudes(self) -> dict:
+        """{label: EpsSeries} of the populated modes, in label order."""
+        return {label: self.amplitude(label) for label in self.support()}
 
     def amplitude(self, label: str) -> EpsSeries:
-        _check_label(label)
-        return self.amplitudes.get(label, EpsSeries.zero(self.order))
+        return EpsSeries(tuple(self.coeffs[_row(label)]))
 
     def support(self):
-        return sorted(self.amplitudes)
+        return [_label(i) for i in np.flatnonzero(self.mask)]
 
     def eval(self, eps: float) -> dict:
         return {lab: s.eval(eps) for lab, s in self.amplitudes.items()}
@@ -89,7 +116,7 @@ class ModeState:
     def to_dict(self) -> dict:
         return {
             lab: [[c.real, c.imag] for c in s.coeffs]
-            for lab, s in sorted(self.amplitudes.items())
+            for lab, s in self.amplitudes.items()
         }
 
     @classmethod
@@ -102,49 +129,64 @@ class ModeState:
         )
 
 
+def _kick_matrices(order: int) -> np.ndarray:
+    """Product matrices of the stay and flip series of one mirror kick."""
+    stay = inv_sqrt_one_plus_sq(order)
+    flip = EpsSeries.monomial(1.0, 1, order) * stay
+    return _product_matrices(np.array([stay.coeffs, flip.coeffs]))
+
+
+def _kick(coeffs: np.ndarray, mask: np.ndarray, mirror: str, kick: np.ndarray):
+    low, high = pairs = _PAIRS[mirror]
+    if mask[high].any():
+        raise ValueError(
+            f"mirror {mirror} bit already set in label "
+            f"{_label(high[mask[high]][0])}; "
+            "each mirror is visited at most once per path"
+        )
+    out = np.zeros_like(coeffs)
+    out[pairs] = coeffs[low] @ kick
+    out_mask = np.zeros_like(mask)
+    out_mask[pairs] = mask[low]
+    return out, out_mask
+
+
 def apply_mirror_kick(state: ModeState, mirror: str) -> ModeState:
     """One bounce off a vibrating mirror, Fock-space form.
 
     c_bit0 -> (c_bit0 + eps * c_bit1) / sqrt(1 + eps^2) on the mirror's
-    bit. Each path meets each mirror at most once, so a label that already
-    carries the bit is a usage error, not a physical branch.
+    bit, one truncated series product on each row pair (i, i | bit). Each
+    path meets each mirror at most once, so a label that already carries
+    the bit is a usage error, not a physical branch.
     """
     if mirror not in _BIT:
         raise ValueError(f"unknown mirror {mirror!r}")
-    order = state.order
-    stay = inv_sqrt_one_plus_sq(order)
-    flip = EpsSeries.monomial(1.0, 1, order) * stay
-    out: dict = {}
-    for label, amp in state.amplitudes.items():
-        if label_has_bit(label, mirror):
-            raise ValueError(
-                f"mirror {mirror} bit already set in label {label}; "
-                "each mirror is visited at most once per path"
-            )
-        kicked = label_with_bit(label, mirror)
-        for lab, term in ((label, amp * stay), (kicked, amp * flip)):
-            if lab in out:
-                out[lab] = out[lab] + term
-            else:
-                out[lab] = term
-    return ModeState(out)
+    kick = _kick_matrices(state.order)
+    return ModeState._of(*_kick(state.coeffs, state.mask, mirror, kick))
 
 
 def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
-    """Detector-port state from explicit path enumeration."""
-    total: dict = {}
-    for base_amp, mirrors in _detector_paths(phi, kappa):
-        if base_amp == 0:
+    """Detector-port state: the sum of the states of the scenario.PATHS.
+
+    The path amplitudes are fixed uniquely by matching the known output
+    state: the C-mode term forces kappa/3, the A-mode term e^{i phi}/3 and
+    the B-mode term -1/3; the zero-mode coefficient e^{i phi}/3 and the E/F
+    coefficients (e^{i phi}-1)/3 then come out as consistency checks.
+    """
+    kick = _kick_matrices(order)
+    coeffs = np.zeros((len(_ROWS), order + 1), complex)
+    mask = np.zeros(len(_ROWS), bool)
+    amps = (kappa / 3.0, cmath.exp(1j * phi) / 3.0, -1.0 / 3.0)
+    for amp, mirrors in zip(amps, PATHS):
+        if amp == 0:
             continue
-        st = ModeState({ZERO_LABEL: EpsSeries.const(base_amp, order)})
-        for m in mirrors:
-            st = apply_mirror_kick(st, m)
-        for lab, amp in st.amplitudes.items():
-            if lab in total:
-                total[lab] = total[lab] + amp
-            else:
-                total[lab] = amp
-    return ModeState(total)
+        path, path_mask = np.zeros_like(coeffs), np.zeros_like(mask)
+        path[0, 0], path_mask[0] = amp, True
+        for mirror in mirrors:
+            path, path_mask = _kick(path, path_mask, mirror, kick)
+        coeffs += path
+        mask |= path_mask
+    return ModeState._of(coeffs, mask)
 
 
 def propagate_detector_port(scenario: Scenario) -> ModeState:
@@ -183,19 +225,12 @@ def reference_output_state(phi: float, order: int = 4) -> ModeState:
 
 def norm_series(state: ModeState) -> EpsSeries:
     """Sum of |amplitude|^2 as a series (real coefficients up to rounding)."""
-    total = EpsSeries.zero(state.order)
-    for amp in state.amplitudes.values():
-        total = total + amp * amp.conjugate()
-    return total
+    return EpsSeries(tuple(_norm_coeffs(state.coeffs[state.mask])))
 
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
-    return sum(
-        abs(amp.eval(epsilon)) ** 2
-        for lab, amp in state.amplitudes.items()
-        if label_has_bit(lab, mirror)
-    )
+    return float(np.sum(np.abs(_bit_values(state, mirror, epsilon)) ** 2))
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
@@ -204,17 +239,13 @@ def zero_mode_probability(state: ModeState, epsilon: float) -> float:
 
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:
     """Exact eps^2 coefficient of the projector probability series."""
-    total = EpsSeries.zero(state.order)
-    for lab, amp in state.amplitudes.items():
-        if label_has_bit(lab, mirror):
-            total = total + amp * amp.conjugate()
-    return total.coeffs[2].real
+    return float(_norm_coeffs(state.coeffs[_PAIRS[mirror][1]])[2].real)
 
 
 def probability_table(
     phi: float, kappa: float, epsilon: float, order: int = 4
 ) -> dict:
-    """Projector probabilities for all five mirrors plus the zero mode."""
+    """Projector probabilities for every mirror plus the zero mode."""
     state = output_state(phi, kappa, order)
     table = {m: mode_projection_probability(state, m, epsilon) for m in MIRRORS}
     table["zero"] = zero_mode_probability(state, epsilon)
@@ -245,12 +276,7 @@ def bcjlss_witness(state: ModeState, mirror: str, epsilon: float = 0.0) -> float
     Kept unnormalized exactly as defined (the post-selected ket has norm
     4, not 1).
     """
-    total = sum(
-        amp.eval(epsilon)
-        for lab, amp in state.amplitudes.items()
-        if label_has_bit(lab, mirror)
-    )
-    return abs(total) ** 2
+    return float(abs(np.sum(_bit_values(state, mirror, epsilon))) ** 2)
 
 
 # -- transcription comparison -------------------------------------------
@@ -295,33 +321,20 @@ def compare_transcription(
 ) -> TranscriptionReport:
     computed = output_state(phi, 1.0, order)
     transcribed = reference_output_state(phi, order)
-
-    leading = {}
-    for lab, amp in transcribed.amplitudes.items():
-        for k, c in enumerate(amp.coeffs):
-            if abs(c) > 0:
-                leading[lab] = k
-                break
-
-    agreed, extra, drift, unexpected = [], [], [], []
-    labels = sorted(set(computed.amplitudes) | set(transcribed.amplitudes))
-    for lab in labels:
-        a = computed.amplitude(lab)
-        b = transcribed.amplitude(lab)
-        for k in range(order + 1):
-            if abs(a.coeffs[k] - b.coeffs[k]) <= tol:
-                agreed.append((lab, k))
-                continue
-            diff = CoefficientDiff(lab, k, a.coeffs[k], b.coeffs[k])
-            if lab not in leading:
-                extra.append(diff)
-            elif k > leading[lab]:
-                drift.append(diff)
-            else:
-                unexpected.append(diff)
-    return TranscriptionReport(
-        agreed=tuple(agreed),
-        extra_terms=tuple(extra),
-        normalization_drift=tuple(drift),
-        unexpected=tuple(unexpected),
-    )
+    rows = np.flatnonzero(computed.mask | transcribed.mask)
+    a, b = computed.coeffs[rows], transcribed.coeffs[rows]
+    nonzero = b != 0
+    # power of each row's first transcribed term, -1 for rows not transcribed
+    leading = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)[:, None]
+    conditions = [np.abs(a - b) <= tol, leading < 0, np.arange(order + 1) > leading]
+    kind = np.select(conditions, [0, 1, 2], 3)
+    # agreed, extra terms, normalization drift, unexpected
+    found = ([], [], [], [])
+    for (i, k), which in np.ndenumerate(kind):
+        label = _label(rows[i])
+        found[which].append(
+            (label, k)
+            if which == 0
+            else CoefficientDiff(label, k, complex(a[i, k]), complex(b[i, k]))
+        )
+    return TranscriptionReport(*map(tuple, found))

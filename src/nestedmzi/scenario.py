@@ -9,9 +9,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 MIRRORS = ("A", "B", "C", "E", "F")
+
+# The mirrors of each path from the source to the detector port, in the
+# order the photon meets them: the free arm C, then the inner arm through A
+# and the inner arm through B, which both enter via E and leave via F. The
+# Fock and beam models both read this table and index paths in its order.
+#
+# Phase convention: the Fock model (fock.output_state) gives the paths the
+# amplitudes (kappa, e^{i phi}, -1) / 3, the beam model
+# (beam.path_coefficients) the coefficients (kappa, -1, e^{i phi}). So the
+# beam coefficients are 3 times the Fock amplitudes with the A-path and
+# B-path entries swapped. The models agree at phi = pi; at phi = 0 they
+# differ in which inner arm is out of phase with C.
+# tests/test_fock.py::test_beam_coefficients_are_fock_amplitudes_with_inner_arms_swapped
+# pins this.
+PATHS = (("C",), ("E", "A", "F"), ("E", "B", "F"))
 
 DEFAULT_FREQS = {"A": 31.0, "B": 37.0, "C": 41.0, "E": 47.0, "F": 59.0}
 
@@ -22,6 +38,23 @@ _CASE_PHI_KAPPA = {
 }
 
 _FREQ_TOL = 1e-9
+
+
+def _float(name: str, value, finite: bool = False) -> float:
+    """value as a float, or a ValueError naming the field.
+
+    A bool is not a number, and an int beyond the float range is refused
+    here rather than overflowing in the checks that follow.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+    if finite and not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -45,6 +78,22 @@ class Scenario:
         self._validate()
 
     def _validate(self):
+        # Store every number as a float (series_order as an int), so the
+        # checks below and every model see one numeric type.
+        for name in ("phi", "kappa", "epsilon", "duration", "sample_rate"):
+            value = _float(name, getattr(self, name), finite=name == "phi")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.series_order, numbers.Integral):
+            raise ValueError(f"series_order must be an int, got {self.series_order!r}")
+        object.__setattr__(self, "series_order", int(self.series_order))
+        for name in ("mirror_freq", "vib_amplitude"):
+            values = getattr(self, name)
+            if not isinstance(values, dict) or set(values) != set(MIRRORS):
+                raise ValueError(f"{name} must map exactly the five mirrors A,B,C,E,F")
+            values = {
+                m: _float(f"{name}[{m}]", values[m], finite=True) for m in MIRRORS
+            }
+            object.__setattr__(self, name, values)
         if not (0.0 < self.epsilon < 0.1):
             raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
         if self.kappa not in (0.0, 1.0):
@@ -60,16 +109,16 @@ class Scenario:
             )
         if self.series_order < 3:
             raise ValueError("series_order must be >= 3")
-        if set(self.mirror_freq) != set(MIRRORS):
-            raise ValueError("mirror_freq must map exactly the five mirrors A,B,C,E,F")
-        if set(self.vib_amplitude) != set(MIRRORS):
-            raise ValueError("vib_amplitude must map exactly the five mirrors A,B,C,E,F")
         for m in MIRRORS:
             f = self.mirror_freq[m]
             if f <= 0:
                 raise ValueError(f"mirror_freq[{m}] must be positive")
             cycles = f * self.duration
-            if abs(cycles - round(cycles)) > _FREQ_TOL or round(cycles) < 1:
+            if (
+                not math.isfinite(cycles)
+                or abs(cycles - round(cycles)) > _FREQ_TOL
+                or round(cycles) < 1
+            ):
                 raise ValueError(
                     f"mirror_freq[{m}]={f} is not an integer number of cycles "
                     f"per window T={self.duration}"
@@ -110,24 +159,19 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        known = {
-            "phi",
-            "kappa",
-            "epsilon",
-            "mirror_freq",
-            "vib_amplitude",
-            "duration",
-            "sample_rate",
-            "series_order",
-        }
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise ValueError(f"a scenario must be a JSON object, got {data!r}")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        kwargs = dict(data)
-        for key in ("mirror_freq", "vib_amplitude"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = {m: float(v) for m, v in kwargs[key].items()}
-        return cls(**kwargs)
+        missing = {
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        } - set(data)
+        if missing:
+            raise ValueError(f"missing scenario keys: {sorted(missing)}")
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class EpsSeries:
@@ -39,11 +41,7 @@ class EpsSeries:
 
     @classmethod
     def monomial(cls, value, power: int, order: int) -> "EpsSeries":
-        if power > order:
-            return cls.zero(order)
-        c = [0j] * (order + 1)
-        c[power] = complex(value)
-        return cls(tuple(c))
+        return cls(tuple(complex(value) if k == power else 0j for k in range(order + 1)))
 
     def _check_order(self, other: "EpsSeries") -> None:
         if self.order != other.order:
@@ -53,23 +51,11 @@ class EpsSeries:
         self._check_order(other)
         return EpsSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __sub__(self, other: "EpsSeries") -> "EpsSeries":
-        self._check_order(other)
-        return EpsSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
     def __mul__(self, other):
         if isinstance(other, EpsSeries):
             self._check_order(other)
-            n = self.order
-            out = [0j] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return EpsSeries(tuple(out))
+            product = np.convolve(self.coeffs, other.coeffs)
+            return EpsSeries(tuple(product[: self.order + 1]))
         return EpsSeries(tuple(complex(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__

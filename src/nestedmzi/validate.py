@@ -270,39 +270,25 @@ def check_attribution_soundness():
     )
 
 
+def _spectral_subchecks(case, bars):
+    """Subchecks that the normalized total/exact bars of a case must pass."""
+    if case == "b":  # only the A bar
+        return [bars["A"] == 1.0, all(bars[m] < 0.01 for m in ("B", "C", "E", "F"))]
+    if case == "a":  # C = E = F, no A or B
+        trio = [bars[m] for m in ("C", "E", "F")]
+        return [max(trio) / min(trio) < 1.05, bars["A"] < 0.01 and bars["B"] < 0.01]
+    # case c: A = B, nothing else
+    return [
+        abs(bars["A"] - bars["B"]) < 0.01,
+        all(bars[m] < 1e-3 for m in ("C", "E", "F")),
+    ]
+
+
 def check_spectral_cases():
     subchecks = []
-    # case b, total, exact: only the A bar
-    sc = standard_case("b")
-    rep = spectra.attribute_peaks(
-        spectra.power_spectrum(spectra.sample_detector(sc, "total", "exact")),
-        sc,
-        "total",
-    )
-    bars = rep.normalized_bars()
-    subchecks.append(bars["A"] == 1.0)
-    subchecks.append(all(bars[m] < 0.01 for m in ("B", "C", "E", "F")))
-    # case a: C = E = F, no A or B
-    sc = standard_case("a")
-    rep = spectra.attribute_peaks(
-        spectra.power_spectrum(spectra.sample_detector(sc, "total", "exact")),
-        sc,
-        "total",
-    )
-    bars = rep.normalized_bars()
-    trio = [bars[m] for m in ("C", "E", "F")]
-    subchecks.append(max(trio) / min(trio) < 1.05)
-    subchecks.append(bars["A"] < 0.01 and bars["B"] < 0.01)
-    # case c: A = B, nothing else
-    sc = standard_case("c")
-    rep = spectra.attribute_peaks(
-        spectra.power_spectrum(spectra.sample_detector(sc, "total", "exact")),
-        sc,
-        "total",
-    )
-    bars = rep.normalized_bars()
-    subchecks.append(abs(bars["A"] - bars["B"]) < 0.01)
-    subchecks.append(all(bars[m] < 1e-3 for m in ("C", "E", "F")))
+    for case in "bac":
+        _, _, report = spectra.run(standard_case(case), "total", "exact")
+        subchecks += _spectral_subchecks(case, report.normalized_bars())
     return _result(
         "total-intensity spectra match per-case predictions",
         all(subchecks),

@@ -261,6 +261,52 @@ def test_non_integer_sample_count_exits_one(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def _cli(*argv, cwd=None):
+    """Run the CLI in a fresh interpreter; (exit code, stderr)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nestedmzi.cli", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env, cwd=cwd,
+        timeout=120,
+    )
+    return proc.returncode, proc.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["plan-check", "--case", "a", "--freq", "A=inf"], "mirror_freq[A]"),
+        (["plan-check", "--case", "a", "--freq", "A=nan"], "mirror_freq[A]"),
+        (["fock", "--case", "b", "--scenario-file", "phi.json"], "phi"),
+    ],
+)
+def test_non_finite_field_exits_one_without_traceback(tmp_path, argv, field):
+    (tmp_path / "phi.json").write_text('{"phi": 1e400, "kappa": 1.0}')
+    code, err = _cli(*argv, cwd=tmp_path)
+    assert code == 1, err
+    assert err.startswith(f"error: {field} must be finite")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [(None, "No such file"), ("5", "holds no JSON object"), ("{", "is not JSON")],
+)
+def test_unreadable_scenario_file_is_a_usage_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["fock", "--case", "a", "--scenario-file", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+    assert err.count("\n") == 1
+
+
 def test_closed_stdout_pipe_exits_quietly():
     # The read end is closed before the CLI starts, so its first write
     # meets a pipe with no reader.

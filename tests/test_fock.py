@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nestedmzi import fock
+from nestedmzi import beam, fock
 from nestedmzi.fock import (
     ModeState,
     apply_mirror_kick,
@@ -20,7 +20,7 @@ from nestedmzi.fock import (
     reference_output_state,
     zero_mode_probability,
 )
-from nestedmzi.scenario import MIRRORS, standard_case
+from nestedmzi.scenario import MIRRORS, PATHS, standard_case
 from nestedmzi.series import EpsSeries
 
 ALL_LABELS = ["".join(bits) for bits in itertools.product("01", repeat=5)]
@@ -312,3 +312,21 @@ def test_mode_state_round_trip():
 def test_zero_mode_probability_case_a():
     st = output_state(math.pi, 1.0)
     assert zero_mode_probability(st, 1e-3) == pytest.approx(1 / 9, rel=1e-5)
+
+
+# -- phase convention shared with the beam model -------------------------
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2, 2.0, math.pi, 4.4])
+def test_beam_coefficients_are_fock_amplitudes_with_inner_arms_swapped(phi, kappa):
+    # A path's Fock amplitude is the eps^len(path) coefficient of the mode
+    # carrying the bits of all its mirrors: only that path reaches the mode,
+    # and it gets there by one eps kick per mirror.
+    state = output_state(phi, kappa)
+    labels = ["".join("1" if m in path else "0" for m in MIRRORS) for path in PATHS]
+    amps = [state.amplitude(lab).coeffs[len(p)] for lab, p in zip(labels, PATHS)]
+    sc = standard_case("b").with_overrides(phi=phi, kappa=kappa)
+    c_path, a_path, b_path = range(len(PATHS))
+    swapped = [amps[c_path], amps[b_path], amps[a_path]]
+    assert np.max(np.abs(beam.path_coefficients(sc) - 3 * np.array(swapped))) < 1e-15

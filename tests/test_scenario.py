@@ -1,6 +1,8 @@
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestedmzi.scenario import (
     MIRRORS,
@@ -150,3 +152,127 @@ def test_rate_bound_compares_mirror_indices_not_float_identity():
         Scenario(
             phi=0.0, kappa=1.0, mirror_freq={m: f for m in MIRRORS}, sample_rate=200.0
         )
+
+
+def _with(key, value):
+    """Case b as a dict with one field, or one mirror's entry, replaced."""
+    data = standard_case("b").to_dict()
+    if isinstance(key, tuple):
+        data[key[0]][key[1]] = value
+    else:
+        data[key] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "key,value,field",
+    [
+        # nestedmzi plan-check --freq A=inf (used to end in OverflowError)
+        (("mirror_freq", "A"), math.inf, "mirror_freq[A]"),
+        # --freq A=nan (used to say "cannot convert float NaN to integer")
+        (("mirror_freq", "A"), math.nan, "mirror_freq[A]"),
+        # "phi": 1e400 in a scenario file (fock printed a table of nan)
+        ("phi", json.loads("1e400"), "phi"),
+        # a NaN amplitude (plan-check took mirror A for at rest)
+        (("vib_amplitude", "A"), math.nan, "vib_amplitude[A]"),
+        # "phi": "x" and "series_order": 4.0 (TypeError tracebacks)
+        ("phi", "x", "phi"),
+        ("series_order", 4.0, "series_order"),
+    ],
+    ids=["freq-inf", "freq-nan", "phi-1e400", "amplitude-nan", "phi-str", "order-float"],
+)
+def test_non_finite_or_non_numeric_field_rejected(key, value, field):
+    with pytest.raises(ValueError) as exc:
+        Scenario.from_dict(_with(key, value))
+    assert str(exc.value).startswith(field + " ")
+
+
+def test_int_beyond_float_range_rejected():
+    with pytest.raises(ValueError, match="duration is beyond the float range"):
+        Scenario.from_dict(_with("duration", 10**400))
+
+
+def test_scenario_file_must_be_an_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        Scenario.from_json("5")
+    with pytest.raises(ValueError, match="missing scenario keys: \\['phi'\\]"):
+        Scenario.from_dict({"kappa": 1.0})
+
+
+def test_numbers_are_stored_as_floats():
+    sc = Scenario.from_json('{"phi": 0, "kappa": 1, "series_order": 5}')
+    assert type(sc.phi) is float and type(sc.kappa) is float
+    assert all(type(f) is float for f in sc.mirror_freq.values())
+    assert type(sc.series_order) is int
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Any valid scenario: whole cycles and samples per window, fast rate."""
+    duration = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    cycles = draw(st.lists(st.integers(1, 500), min_size=5, max_size=5))
+    freqs = [k / duration for k in cycles]
+    top = max(max(2.0 * f for f in freqs), max(
+        fi + fj for i, fi in enumerate(freqs) for j, fj in enumerate(freqs) if i != j
+    ))
+    samples = draw(st.integers(math.floor(4.0 * top * duration) + 1, 100_000))
+    return Scenario(
+        phi=draw(st.floats(allow_nan=False, allow_infinity=False)),
+        kappa=draw(st.sampled_from([0.0, 1.0])),
+        epsilon=draw(st.floats(0.0, 0.1, exclude_min=True, exclude_max=True)),
+        mirror_freq=dict(zip(MIRRORS, freqs)),
+        vib_amplitude={
+            m: draw(st.floats(min_value=0.0, allow_infinity=False)) for m in MIRRORS
+        },
+        duration=duration,
+        sample_rate=samples / duration,
+        series_order=draw(st.integers(min_value=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_scenarios())
+def test_json_round_trip_property(sc):
+    again = Scenario.from_json(sc.to_json())
+    assert again == sc
+    assert again.to_json() == sc.to_json()
+
+
+# Values that are wrong for every field: not numbers, not finite, or ints
+# beyond the float range.
+BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -(10**400)]),
+)
+
+
+@st.composite
+def invalid_scenario_dicts(draw):
+    data = draw(valid_scenarios()).to_dict()
+    key = draw(st.sampled_from(sorted(data) + ["missing", "unknown"]))
+    if key == "missing":
+        del data[draw(st.sampled_from(["phi", "kappa"]))]
+    elif key == "unknown":
+        data[draw(st.text().filter(lambda k: k not in data))] = 1.0
+    elif key in ("mirror_freq", "vib_amplitude") and draw(st.booleans()):
+        data[key][draw(st.sampled_from(MIRRORS))] = draw(BAD_VALUES)
+    elif key == "series_order":
+        # a big int is a valid order
+        data[key] = draw(BAD_VALUES.filter(lambda v: type(v) is not int))
+    elif key == "vib_amplitude":
+        # None asks for the default amplitudes
+        data[key] = draw(BAD_VALUES.filter(lambda v: v is not None))
+    else:
+        data[key] = draw(BAD_VALUES)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(invalid_scenario_dicts())
+def test_invalid_scenario_dicts_raise_only_value_error(data):
+    with pytest.raises(ValueError):
+        Scenario.from_dict(data)
