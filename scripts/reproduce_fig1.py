@@ -3,12 +3,15 @@
 
 Runs the exact total-intensity model for cases a, b, c (and the quad-cell
 detector for comparison), writes the CSV/JSON artifacts under out/, and
-prints normalized bar tables to stdout.
+prints normalized bar tables to stdout. Like the nestedmzi CLI, it exits
+with status 141 when the reader of stdout goes away early.
 """
 import argparse
+import sys
 from pathlib import Path
 
 from nestedmzi import spectra
+from nestedmzi.cli import guard_stdout
 from nestedmzi.scenario import MIRRORS, standard_case
 
 
@@ -39,7 +42,8 @@ def main():
     # the linearized quad-cell signal for case (c) is identically zero --
     # the disagreement the exact model exposes
     run_case("c", "quad", "linearized", root / "case_c_quad_linearized")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(guard_stdout(main))

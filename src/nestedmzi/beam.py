@@ -11,14 +11,13 @@ independent test oracles.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import MIRRORS, PATHS, Scenario
+from .scenario import MIRRORS, PATHS, Scenario, path_weights
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -75,10 +74,9 @@ _INCIDENCE = np.array([[m in path for m in MIRRORS] for path in PATHS], dtype=fl
 
 
 def path_coefficients(scenario: Scenario) -> np.ndarray:
-    """Coefficients of the scenario.PATHS (C, A, B): (kappa, -1, e^{i phi})."""
-    return np.array(
-        [scenario.kappa, -1.0, cmath.exp(1j * scenario.phi)], dtype=complex
-    )
+    """Coefficients of the scenario.PATHS (C, A, B): (kappa, -1, e^{i phi}),
+    the path_weights with the A-path and B-path entries swapped."""
+    return np.array(path_weights(scenario.phi, scenario.kappa), complex)[[0, 2, 1]]
 
 
 def path_shifts(scenario: Scenario, t) -> np.ndarray:

@@ -17,6 +17,11 @@ from . import fock, spectra, validate
 from .scenario import MIRRORS, Scenario, check_frequency_plan, standard_case
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_freq_overrides(items):
     out = {}
     for item in items or ():
@@ -27,14 +32,8 @@ def _parse_freq_overrides(items):
                 raise ValueError
             out[mirror] = float(value)
         except ValueError:
-            print(f"bad --freq override {item!r}; expected e.g. A=31", file=sys.stderr)
-            raise SystemExit(2) from None
+            _usage_error(f"bad --freq override {item!r}; expected e.g. A=31")
     return out
-
-
-def _usage_error(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(2)
 
 
 def _read_scenario_file(path: str) -> Scenario:
@@ -212,16 +211,17 @@ def make_parser() -> argparse.ArgumentParser:
 EXIT_BROKEN_PIPE = 141
 
 
-def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+def guard_stdout(func, *args) -> int:
+    """func(*args), with standard output flushed before it returns.
+
+    Returns EXIT_BROKEN_PIPE, silently, if the reader of standard output
+    went away before the output was written.
+    """
     try:
-        code = args.func(args)
+        code = func(*args)
         # Output still buffered fails here, not at interpreter exit.
         sys.stdout.flush()
         return code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # Point stdout at devnull so that the interpreter's final flush of
         # what is left in the buffer cannot raise again.
@@ -229,6 +229,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+
+
+def main(argv=None) -> int:
+    args = make_parser().parse_args(argv)
+    try:
+        return guard_stdout(args.func, args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

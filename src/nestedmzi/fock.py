@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .scenario import MIRRORS, PATHS, Scenario, standard_case
+from .scenario import MIRRORS, PATHS, Scenario, path_weights, standard_case
 from .series import EpsSeries, inv_sqrt_one_plus_sq
 
 ZERO_LABEL = "0" * len(MIRRORS)
@@ -38,6 +39,15 @@ _PAIRS = {
     m: np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))
     for m, b in _BIT.items()
 }
+# Per path of scenario.PATHS, per subset size k: the rows of the modes that
+# carry the bits of a k-mirror subset of the path's mirrors.
+_SUBSETS = [
+    [
+        np.array([sum(_BIT[m] for m in subset) for subset in combinations(path, k)])
+        for k in range(len(path) + 1)
+    ]
+    for path in PATHS
+]
 
 
 def _row(label: str) -> int:
@@ -53,20 +63,6 @@ def _label(row) -> str:
 def _bit_values(state: ModeState, mirror: str, eps: float) -> np.ndarray:
     """Amplitudes at eps of the modes whose label carries the mirror's bit."""
     return state.coeffs[_PAIRS[mirror][1]] @ eps ** np.arange(state.order + 1)
-
-
-def _product_matrices(c: np.ndarray) -> np.ndarray:
-    """T[..., j, k] = c[..., k - j] (0 for k < j), shape (..., n, n): x @ T
-    is the product series of x and each series row of c, truncated."""
-    n = c.shape[-1]
-    padded = np.concatenate((c, np.zeros(c.shape[:-1] + (n - 1,), complex)), axis=-1)
-    r = np.arange(n)
-    return padded[..., r - r[:, None]]
-
-
-def _norm_coeffs(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the series sum_i |c_i|^2 over the series rows c_i."""
-    return (c[:, None] @ _product_matrices(c.conj())).sum(axis=0)[0]
 
 
 class ModeState:
@@ -129,63 +125,60 @@ class ModeState:
         )
 
 
-def _kick_matrices(order: int) -> np.ndarray:
-    """Product matrices of the stay and flip series of one mirror kick."""
-    stay = inv_sqrt_one_plus_sq(order)
-    flip = EpsSeries.monomial(1.0, 1, order) * stay
-    return _product_matrices(np.array([stay.coeffs, flip.coeffs]))
-
-
-def _kick(coeffs: np.ndarray, mask: np.ndarray, mirror: str, kick: np.ndarray):
-    low, high = pairs = _PAIRS[mirror]
-    if mask[high].any():
-        raise ValueError(
-            f"mirror {mirror} bit already set in label "
-            f"{_label(high[mask[high]][0])}; "
-            "each mirror is visited at most once per path"
-        )
-    out = np.zeros_like(coeffs)
-    out[pairs] = coeffs[low] @ kick
-    out_mask = np.zeros_like(mask)
-    out_mask[pairs] = mask[low]
-    return out, out_mask
-
-
 def apply_mirror_kick(state: ModeState, mirror: str) -> ModeState:
     """One bounce off a vibrating mirror, Fock-space form.
 
     c_bit0 -> (c_bit0 + eps * c_bit1) / sqrt(1 + eps^2) on the mirror's
-    bit, one truncated series product on each row pair (i, i | bit). Each
-    path meets each mirror at most once, so a label that already carries
-    the bit is a usage error, not a physical branch.
+    bit: each row without the bit is multiplied by the series of
+    1/sqrt(1 + eps^2), and the row with the bit set gets the same product
+    one power of eps up. Each path meets each mirror at most once, so a
+    label that already carries the bit is a usage error, not a physical
+    branch.
     """
     if mirror not in _BIT:
         raise ValueError(f"unknown mirror {mirror!r}")
-    kick = _kick_matrices(state.order)
-    return ModeState._of(*_kick(state.coeffs, state.mask, mirror, kick))
+    low, high = _PAIRS[mirror]
+    if state.mask[high].any():
+        raise ValueError(
+            f"mirror {mirror} bit already set in label "
+            f"{_label(high[state.mask[high]][0])}; "
+            "each mirror is visited at most once per path"
+        )
+    rows, n = state.coeffs[low], state.order + 1
+    product = np.zeros_like(rows)
+    for k, s in enumerate(inv_sqrt_one_plus_sq(state.order).coeffs):
+        product[:, k:] += s * rows[:, : n - k]
+    coeffs = np.zeros_like(state.coeffs)
+    coeffs[low] = product
+    coeffs[high, 1:] = product[:, :-1]
+    mask = np.zeros_like(state.mask)
+    mask[low] = mask[high] = state.mask[low]
+    return ModeState._of(coeffs, mask)
 
 
 def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
-    """Detector-port state: the sum of the states of the scenario.PATHS.
+    """Detector-port state: apply_mirror_kick chained along each of the
+    scenario.PATHS, in closed form.
 
-    The path amplitudes are fixed uniquely by matching the known output
-    state: the C-mode term forces kappa/3, the A-mode term e^{i phi}/3 and
-    the B-mode term -1/3; the zero-mode coefficient e^{i phi}/3 and the E/F
-    coefficients (e^{i phi}-1)/3 then come out as consistency checks.
+    Every kick multiplies by 1/sqrt(1 + eps^2), and by eps on the branch
+    that sets the mirror's bit. So a path of weight w (scenario.path_weights)
+    through the mirrors M puts (w/3) eps^|S| (1 + eps^2)^(-|M|/2) on the
+    mode of every subset S of M. A path of weight 0 populates nothing; the
+    modes of the others stay populated where the paths cancel.
     """
-    kick = _kick_matrices(order)
+    stay = inv_sqrt_one_plus_sq(order)
+    powers = [stay]  # powers[k] = stay ** (k + 1)
+    while len(powers) < max(map(len, PATHS)):
+        powers.append(powers[-1] * stay)
     coeffs = np.zeros((len(_ROWS), order + 1), complex)
     mask = np.zeros(len(_ROWS), bool)
-    amps = (kappa / 3.0, cmath.exp(1j * phi) / 3.0, -1.0 / 3.0)
-    for amp, mirrors in zip(amps, PATHS):
-        if amp == 0:
+    for weight, mirrors, subsets in zip(path_weights(phi, kappa), PATHS, _SUBSETS):
+        if weight == 0:
             continue
-        path, path_mask = np.zeros_like(coeffs), np.zeros_like(mask)
-        path[0, 0], path_mask[0] = amp, True
-        for mirror in mirrors:
-            path, path_mask = _kick(path, path_mask, mirror, kick)
-        coeffs += path
-        mask |= path_mask
+        base = np.array(powers[len(mirrors) - 1].coeffs) * (weight / 3.0)
+        for size, rows in enumerate(subsets):
+            coeffs[rows, size:] += base[: max(order + 1 - size, 0)]
+            mask[rows] = True
     return ModeState._of(coeffs, mask)
 
 
@@ -225,7 +218,11 @@ def reference_output_state(phi: float, order: int = 4) -> ModeState:
 
 def norm_series(state: ModeState) -> EpsSeries:
     """Sum of |amplitude|^2 as a series (real coefficients up to rounding)."""
-    return EpsSeries(tuple(_norm_coeffs(state.coeffs[state.mask])))
+    c, n = state.coeffs[state.mask], state.order + 1
+    conj, norm = c.conj(), np.zeros(n, complex)
+    for k in range(n):
+        norm[k:] += c[:, k] @ conj[:, : n - k]
+    return EpsSeries(tuple(norm))
 
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
@@ -238,8 +235,10 @@ def zero_mode_probability(state: ModeState, epsilon: float) -> float:
 
 
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:
-    """Exact eps^2 coefficient of the projector probability series."""
-    return float(_norm_coeffs(state.coeffs[_PAIRS[mirror][1]])[2].real)
+    """Exact eps^2 coefficient of the projector probability series:
+    c_0 c_2* + c_1 c_1* + c_2 c_0* summed over the rows with the bit."""
+    c = state.coeffs[_PAIRS[mirror][1]]
+    return float(np.sum(c[:, :3] * c[:, 2::-1].conj()).real)
 
 
 def probability_table(

@@ -7,10 +7,11 @@ the vibration amplitudes/frequencies, and the sampling window.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 MIRRORS = ("A", "B", "C", "E", "F")
 
@@ -18,16 +19,25 @@ MIRRORS = ("A", "B", "C", "E", "F")
 # order the photon meets them: the free arm C, then the inner arm through A
 # and the inner arm through B, which both enter via E and leave via F. The
 # Fock and beam models both read this table and index paths in its order.
-#
-# Phase convention: the Fock model (fock.output_state) gives the paths the
-# amplitudes (kappa, e^{i phi}, -1) / 3, the beam model
-# (beam.path_coefficients) the coefficients (kappa, -1, e^{i phi}). So the
-# beam coefficients are 3 times the Fock amplitudes with the A-path and
-# B-path entries swapped. The models agree at phi = pi; at phi = 0 they
-# differ in which inner arm is out of phase with C.
-# tests/test_fock.py::test_beam_coefficients_are_fock_amplitudes_with_inner_arms_swapped
-# pins this.
 PATHS = (("C",), ("E", "A", "F"), ("E", "B", "F"))
+
+
+def path_weights(phi: float, kappa: float) -> tuple:
+    """Weights of the PATHS (C, A, B): (kappa, e^{i phi}, -1).
+
+    Matching the known output state fixes them: the C-mode term forces
+    kappa, the A-mode term e^{i phi} and the B-mode term -1 (each over 3);
+    the zero-mode coefficient e^{i phi}/3 and the E/F coefficients
+    (e^{i phi} - 1)/3 then come out as consistency checks.
+
+    The Fock model (fock.output_state) gives the paths these weights divided
+    by 3; the beam model (beam.path_coefficients) takes them as they are
+    but with the A-path and B-path entries swapped. The models agree at
+    phi = pi; at phi = 0 they differ in which inner arm is out of phase
+    with C. Why the two models swap the inner arms is an open question.
+    """
+    return (kappa, cmath.exp(1j * phi), -1.0)
+
 
 DEFAULT_FREQS = {"A": 31.0, "B": 37.0, "C": 41.0, "E": 47.0, "F": 59.0}
 
@@ -38,6 +48,9 @@ _CASE_PHI_KAPPA = {
 }
 
 _FREQ_TOL = 1e-9
+
+# Powers of eps above ~20 carry nothing in double precision for eps < 0.1.
+MAX_SERIES_ORDER = 64
 
 
 def _float(name: str, value, finite: bool = False) -> float:
@@ -107,8 +120,8 @@ class Scenario:
                 f"sample_rate {self.sample_rate} * duration {self.duration} = "
                 f"{samples} is not an integer number of samples"
             )
-        if self.series_order < 3:
-            raise ValueError("series_order must be >= 3")
+        if not 3 <= self.series_order <= MAX_SERIES_ORDER:
+            raise ValueError(f"series_order must lie in [3, {MAX_SERIES_ORDER}]")
         for m in MIRRORS:
             f = self.mirror_freq[m]
             if f <= 0:
@@ -125,16 +138,8 @@ class Scenario:
                 )
             if self.vib_amplitude[m] < 0:
                 raise ValueError(f"vib_amplitude[{m}] must be >= 0")
-        freqs = [self.mirror_freq[m] for m in MIRRORS]
-        top = max(
-            max(2.0 * f for f in freqs),
-            max(
-                fi + fj
-                for i, fi in enumerate(freqs)
-                for j, fj in enumerate(freqs)
-                if i != j
-            ),
-        )
+        # the highest tone, 2 f_max, bounds every f_i + f_j as well
+        top = 2.0 * max(self.mirror_freq.values())
         if self.sample_rate <= 4.0 * top:
             raise ValueError(
                 f"sample_rate {self.sample_rate} too low; need > {4.0 * top}"
@@ -143,16 +148,7 @@ class Scenario:
     # -- JSON round trip -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "phi": self.phi,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "mirror_freq": {m: self.mirror_freq[m] for m in MIRRORS},
-            "vib_amplitude": {m: self.vib_amplitude[m] for m in MIRRORS},
-            "duration": self.duration,
-            "sample_rate": self.sample_rate,
-            "series_order": self.series_order,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -32,10 +32,6 @@ class EpsSeries:
         return len(self.coeffs) - 1
 
     @classmethod
-    def zero(cls, order: int) -> "EpsSeries":
-        return cls((0j,) * (order + 1))
-
-    @classmethod
     def const(cls, value, order: int) -> "EpsSeries":
         return cls((complex(value),) + (0j,) * order)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from nestedmzi import spectra
 from nestedmzi.cli import main
 from nestedmzi.scenario import standard_case
 
@@ -322,6 +323,70 @@ def test_closed_stdout_pipe_exits_quietly():
              "fock", "--case", "a", "--compare", "--json"],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
         )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 141, stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+
+
+@pytest.mark.parametrize("item", ["Z=1", "A=x", "A"])
+def test_bad_freq_override_is_a_usage_error(capsys, item):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan-check", "--case", "a", "--freq", item])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad --freq override {item!r}; expected e.g. A=31\n"
+
+
+def test_series_order_above_bound_exits_one_without_traceback():
+    code, err = _cli("fock", "--case", "a", "--order", "100000")
+    assert code == 1, err
+    assert err == "error: series_order must lie in [3, 64]\n"
+
+
+REPO = Path(__file__).resolve().parent.parent
+FIG1_DIRS = {
+    f"case_{case}_{detector}_exact" for case in "abc" for detector in ("total", "quad")
+} | {"case_c_quad_linearized"}
+
+
+def _reproduce_fig1(*argv, stdout):
+    """Run scripts/reproduce_fig1.py in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH")))
+    )}
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "reproduce_fig1.py"), *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
+def test_reproduce_fig1_writes_what_the_cli_writes(tmp_path, capsys):
+    # The script and `nestedmzi spectrum` share one pipeline, so each of its
+    # directories holds the same bytes as the CLI run for that combination.
+    proc = _reproduce_fig1("--out", str(tmp_path / "fig1"), stdout=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr.decode()
+    dirs = {p.name for p in (tmp_path / "fig1").iterdir()}
+    assert dirs == FIG1_DIRS
+    for name in sorted(dirs):
+        _, case, detector, model = name.split("_")
+        out = tmp_path / "cli" / name
+        code = main(["spectrum", "--case", case, "--detector", detector,
+                     "--model", model, "--out", str(out)])
+        assert code == 0
+        for artifact in spectra.ARTIFACTS:
+            script_bytes = (tmp_path / "fig1" / name / artifact).read_bytes()
+            assert script_bytes == (out / artifact).read_bytes(), (name, artifact)
+    capsys.readouterr()
+
+
+def test_reproduce_fig1_closed_stdout_pipe_exits_quietly(tmp_path):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _reproduce_fig1("--out", str(tmp_path / "x"), stdout=write_end)
     finally:
         os.close(write_end)
     stderr = proc.stderr.decode()

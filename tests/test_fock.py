@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from nestedmzi.fock import (
     reference_output_state,
     zero_mode_probability,
 )
-from nestedmzi.scenario import MIRRORS, PATHS, standard_case
+from nestedmzi.scenario import MIRRORS, PATHS, path_weights, standard_case
 from nestedmzi.series import EpsSeries
 
 ALL_LABELS = ["".join(bits) for bits in itertools.product("01", repeat=5)]
@@ -330,3 +331,42 @@ def test_beam_coefficients_are_fock_amplitudes_with_inner_arms_swapped(phi, kapp
     c_path, a_path, b_path = range(len(PATHS))
     swapped = [amps[c_path], amps[b_path], amps[a_path]]
     assert np.max(np.abs(beam.path_coefficients(sc) - 3 * np.array(swapped))) < 1e-15
+
+
+# -- closed form against the kick enumeration ----------------------------
+
+
+def kick_enumeration(phi, kappa, order):
+    """apply_mirror_kick chained along each path from the zero mode, weighted
+    and summed: the construction output_state writes in closed form."""
+    coeffs = np.zeros((32, order + 1), complex)
+    mask = np.zeros(32, bool)
+    for weight, path in zip(path_weights(phi, kappa), PATHS):
+        if weight == 0:
+            continue
+        state = ModeState({"00000": EpsSeries.const(weight / 3.0, order)})
+        for mirror in path:
+            state = apply_mirror_kick(state, mirror)
+        coeffs += state.coeffs
+        mask |= state.mask
+    return coeffs, mask
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5, math.pi, 5.1])
+def test_output_state_is_the_kick_enumeration(phi, kappa):
+    for order in range(3, 21):
+        state = output_state(phi, kappa, order)
+        coeffs, mask = kick_enumeration(phi, kappa, order)
+        assert np.max(np.abs(state.coeffs - coeffs)) <= 1e-15
+        assert np.array_equal(state.mask, mask)
+
+
+def test_output_state_memory_grows_with_order_not_its_square():
+    tracemalloc.start()
+    try:
+        norm_series(output_state(1.0, 1.0, 500))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6

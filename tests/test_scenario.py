@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nestedmzi.scenario import (
+    MAX_SERIES_ORDER,
     MIRRORS,
     Scenario,
     check_frequency_plan,
@@ -199,6 +200,14 @@ def test_scenario_file_must_be_an_object():
         Scenario.from_dict({"kappa": 1.0})
 
 
+@pytest.mark.parametrize("order", [2, MAX_SERIES_ORDER + 1, 100_000, 10**400])
+def test_series_order_out_of_bounds_names_the_field(order):
+    with pytest.raises(ValueError, match="series_order must lie in"):
+        standard_case("a").with_overrides(series_order=order)
+    top = standard_case("a").with_overrides(series_order=MAX_SERIES_ORDER)
+    assert top.series_order == MAX_SERIES_ORDER
+
+
 def test_numbers_are_stored_as_floats():
     sc = Scenario.from_json('{"phi": 0, "kappa": 1, "series_order": 5}')
     assert type(sc.phi) is float and type(sc.kappa) is float
@@ -226,7 +235,7 @@ def valid_scenarios(draw):
         },
         duration=duration,
         sample_rate=samples / duration,
-        series_order=draw(st.integers(min_value=3)),
+        series_order=draw(st.integers(3, MAX_SERIES_ORDER)),
     )
 
 
@@ -260,9 +269,6 @@ def invalid_scenario_dicts(draw):
         data[draw(st.text().filter(lambda k: k not in data))] = 1.0
     elif key in ("mirror_freq", "vib_amplitude") and draw(st.booleans()):
         data[key][draw(st.sampled_from(MIRRORS))] = draw(BAD_VALUES)
-    elif key == "series_order":
-        # a big int is a valid order
-        data[key] = draw(BAD_VALUES.filter(lambda v: type(v) is not int))
     elif key == "vib_amplitude":
         # None asks for the default amplitudes
         data[key] = draw(BAD_VALUES.filter(lambda v: v is not None))
