@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import MIRRORS, PATHS, Scenario, path_weights
+from .scenario import INCIDENCE, MIRRORS, Scenario, path_weights
 
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
@@ -69,10 +69,6 @@ def mirror_shifts(scenario: Scenario, t) -> dict:
 # -- path table ----------------------------------------------------------
 
 
-# (path, mirror) incidence of scenario.PATHS: 1 where the path meets the mirror.
-_INCIDENCE = np.array([[m in path for m in MIRRORS] for path in PATHS], dtype=float)
-
-
 def path_coefficients(scenario: Scenario) -> np.ndarray:
     """Coefficients of the scenario.PATHS (C, A, B): (kappa, -1, e^{i phi}),
     the path_weights with the A-path and B-path entries swapped."""
@@ -86,7 +82,7 @@ def path_shifts(scenario: Scenario, t) -> np.ndarray:
     the shifts of the mirrors it meets.
     """
     d = mirror_shifts(scenario, t)
-    return _INCIDENCE @ np.array([d[m] for m in MIRRORS])
+    return INCIDENCE @ np.array([d[m] for m in MIRRORS])
 
 
 # -- erf -----------------------------------------------------------------

@@ -59,8 +59,7 @@ def build_scenario(args) -> Scenario:
         sc = _read_scenario_file(args.scenario_file)
     overrides = {}
     if getattr(args, "epsilon", None) is not None:
-        overrides["epsilon"] = args.epsilon
-        overrides["vib_amplitude"] = {m: args.epsilon for m in MIRRORS}
+        sc = sc.with_epsilon(args.epsilon)
     if getattr(args, "duration", None) is not None:
         overrides["duration"] = args.duration
     if getattr(args, "rate", None) is not None:
@@ -126,13 +125,16 @@ def cmd_spectrum(args) -> int:
     existing = [str(outdir / a) for a in spectra.ARTIFACTS if (outdir / a).exists()]
     if existing and not args.force:
         print(
-            f"refusing to overwrite {existing}; pass --force to allow",
+            f"error: refusing to overwrite {existing}; pass --force to allow",
             file=sys.stderr,
         )
         return 1
 
     ts, spec, report = spectra.run(sc, args.detector, args.model)
-    spectra.write_artifacts(outdir, ts, spec, report)
+    try:
+        spectra.write_artifacts(outdir, ts, spec, report)
+    except OSError as exc:
+        _usage_error(f"cannot write --out {outdir}: {exc.strerror or exc}")
 
     bars = report.normalized_bars()
     print(f"case {args.case}, detector {args.detector}, model {args.model}")

@@ -83,7 +83,8 @@ class ModeState:
         self.coeffs = np.zeros((len(_ROWS), max(orders, default=0) + 1), complex)
         for row, s in zip(rows, amplitudes.values()):
             self.coeffs[row] = s.coeffs
-        self.mask = np.isin(_ROWS, rows)
+        self.mask = np.zeros(len(_ROWS), bool)
+        self.mask[rows] = True
 
     @classmethod
     def _of(cls, coeffs: np.ndarray, mask: np.ndarray) -> "ModeState":
@@ -101,7 +102,7 @@ class ModeState:
         return {label: self.amplitude(label) for label in self.support()}
 
     def amplitude(self, label: str) -> EpsSeries:
-        return EpsSeries(tuple(self.coeffs[_row(label)]))
+        return EpsSeries(self.coeffs[_row(label)])
 
     def support(self):
         return [_label(i) for i in np.flatnonzero(self.mask)]
@@ -222,7 +223,7 @@ def norm_series(state: ModeState) -> EpsSeries:
     conj, norm = c.conj(), np.zeros(n, complex)
     for k in range(n):
         norm[k:] += c[:, k] @ conj[:, : n - k]
-    return EpsSeries(tuple(norm))
+    return EpsSeries(norm)
 
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:

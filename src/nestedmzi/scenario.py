@@ -13,6 +13,8 @@ import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
+import numpy as np
+
 MIRRORS = ("A", "B", "C", "E", "F")
 
 # The mirrors of each path from the source to the detector port, in the
@@ -20,6 +22,8 @@ MIRRORS = ("A", "B", "C", "E", "F")
 # and the inner arm through B, which both enter via E and leave via F. The
 # Fock and beam models both read this table and index paths in its order.
 PATHS = (("C",), ("E", "A", "F"), ("E", "B", "F"))
+# (path, mirror) incidence of PATHS: 1 where the path meets the mirror.
+INCIDENCE = np.array([[m in path for m in MIRRORS] for path in PATHS], dtype=float)
 
 
 def path_weights(phi: float, kappa: float) -> tuple:
@@ -175,6 +179,11 @@ class Scenario:
 
     def with_overrides(self, **kwargs) -> "Scenario":
         return replace(self, **kwargs)
+
+    def with_epsilon(self, eps: float) -> "Scenario":
+        """epsilon = eps, and amplitude eps for every mirror not at rest."""
+        amps = {m: eps if a > 0 else 0.0 for m, a in self.vib_amplitude.items()}
+        return self.with_overrides(epsilon=eps, vib_amplitude=amps)
 
 
 def standard_case(case_id: str) -> Scenario:

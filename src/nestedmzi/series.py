@@ -23,9 +23,10 @@ class EpsSeries:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-        if len(self.coeffs) < 1:
-            raise ValueError("series needs at least the constant coefficient")
+        coeffs = np.asarray(self.coeffs, complex)
+        if coeffs.ndim != 1 or len(coeffs) < 1:
+            raise ValueError("series needs a flat sequence of at least one coefficient")
+        object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
 
     @property
     def order(self) -> int:
@@ -51,7 +52,7 @@ class EpsSeries:
         if isinstance(other, EpsSeries):
             self._check_order(other)
             product = np.convolve(self.coeffs, other.coeffs)
-            return EpsSeries(tuple(product[: self.order + 1]))
+            return EpsSeries(product[: self.order + 1])
         return EpsSeries(tuple(complex(other) * c for c in self.coeffs))
 
     __rmul__ = __mul__

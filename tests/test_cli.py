@@ -225,6 +225,25 @@ def test_scenario_file_layering(tmp_path, capsys):
     )
 
 
+def test_epsilon_flag_keeps_mirrors_at_rest(tmp_path, capsys):
+    amps = {**standard_case("a").vib_amplitude, "B": 0.0}
+    path = tmp_path / "rest_b.json"
+    path.write_text(standard_case("a").with_overrides(vib_amplitude=amps).to_json())
+    for extra in ((), ("--epsilon", "0.02")):
+        code, out, _ = run(
+            capsys, "plan-check", "--case", "a", "--scenario-file", str(path), *extra
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "fundamentals: [31.0, 41.0, 47.0, 59.0]"
+    code, out, _ = run(
+        capsys, "spectrum", "--case", "a", "--scenario-file", str(path),
+        "--epsilon", "0.02", "--out", str(tmp_path / "run"),
+    )
+    assert code == 0
+    bars = json.loads((tmp_path / "run" / "attribution.json").read_text())["mirror"]
+    assert sorted(bars) == ["A", "C", "E", "F"]
+
+
 def test_fock_scenario_file_phi_is_honoured(tmp_path, capsys):
     # phi = 1 moves the case-b E/F projector probabilities from the
     # eps^4 floor (2.2e-9) to 1.02e-5
@@ -329,6 +348,23 @@ def test_closed_stdout_pipe_exits_quietly():
     assert proc.returncode == 141, stderr
     assert "Traceback" not in stderr
     assert "Exception ignored" not in stderr
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "run"
+    code, err = _cli("spectrum", "--case", "a", "--out", str(out))
+    assert code == 2, err
+    assert err.startswith(f"error: cannot write --out {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_refusing_to_overwrite_is_an_error_line(tmp_path, capsys):
+    args = ("spectrum", "--case", "b", "--out", str(tmp_path))
+    assert run(capsys, *args)[0] == 0
+    code, _, err = run(capsys, *args)
+    assert code == 1
+    assert err.startswith("error: refusing to overwrite ")
 
 
 @pytest.mark.parametrize("item", ["Z=1", "A=x", "A"])

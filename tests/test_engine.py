@@ -95,6 +95,19 @@ def test_sample_detector_matches_per_sample_scalar_calls(sc):
             assert np.max(np.abs(got - want)) <= TOL, (detector, model)
 
 
+@settings(max_examples=25, deadline=None)
+@given(scenarios())
+def test_samples_are_finite_and_spectra_satisfy_parseval(sc):
+    for detector in spectra.DETECTORS:
+        for model in spectra.MODELS:
+            ts = spectra.sample_detector(sc, detector, model)
+            assert np.all(np.isfinite(ts.samples)), (detector, model)
+            x = ts.samples - ts.samples.mean()
+            lhs = float(np.sum(spectra.power_spectrum(ts).power))
+            rhs = float(np.mean(x**2))
+            assert abs(lhs - rhs) <= 1e-9 * rhs, (detector, model)
+
+
 def test_scalar_wrappers_match_the_per_pair_loops():
     rng = np.random.default_rng(3)
     # shifts up to 3 put the erf arguments in every band below 6

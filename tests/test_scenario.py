@@ -215,6 +215,22 @@ def test_numbers_are_stored_as_floats():
     assert type(sc.series_order) is int
 
 
+def test_with_epsilon_keeps_mirrors_at_rest():
+    amps = {**standard_case("a").vib_amplitude, "B": 0.0, "E": 0.0}
+    sc = standard_case("a").with_overrides(vib_amplitude=amps).with_epsilon(0.02)
+    assert sc.epsilon == 0.02
+    assert sc.vib_amplitude == {"A": 0.02, "B": 0.0, "C": 0.02, "E": 0.0, "F": 0.02}
+
+
+def test_with_epsilon_moves_every_vibrating_mirror():
+    sc = standard_case("c").with_epsilon(0.005)
+    assert sc == standard_case("c").with_overrides(
+        epsilon=0.005, vib_amplitude={m: 0.005 for m in MIRRORS}
+    )
+    with pytest.raises(ValueError, match="epsilon"):
+        standard_case("c").with_epsilon(0.5)
+
+
 @st.composite
 def valid_scenarios(draw):
     """Any valid scenario: whole cycles and samples per window, fast rate."""

@@ -47,6 +47,18 @@ def test_order_mismatch_rejected():
         EpsSeries((1, 2)) * EpsSeries((1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [(), ((1, 2), (3, 4)), 5])
+def test_coefficients_must_be_a_flat_non_empty_sequence(bad):
+    with pytest.raises((TypeError, ValueError)):
+        EpsSeries(bad)
+
+
+def test_coefficients_are_stored_as_python_complex():
+    s = EpsSeries([1, 2.5, 3j])
+    assert s.coeffs == (1, 2.5, 3j)
+    assert all(type(c) is complex for c in s.coeffs)
+
+
 coeffs = st.lists(
     st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False),
     min_size=5,
