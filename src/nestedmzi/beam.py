@@ -22,9 +22,53 @@ from .scenario import INCIDENCE, MIRRORS, Scenario, path_weights
 SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 
+# -- quadrature rules of the oracles -------------------------------------
+#
+# Each rule is a cached, read-only (nodes, weights) pair, so an oracle call
+# is one weighted sum of |Psi|^2 over the nodes.
+
+
 @functools.lru_cache(maxsize=8)
-def _leggauss_cached(nodes: int):
-    return np.polynomial.legendre.leggauss(nodes)
+def _trapezoid_rule(half_width: float, n: int) -> tuple:
+    """n-point trapezoid rule on [-half_width, half_width].
+
+    Each interval d of np.diff(y) puts d/2 on both of its ends: the rule of
+    np.trapezoid(f, y), summed in a different order.
+    """
+    y = np.linspace(-half_width, half_width, n)
+    half = np.diff(y) / 2.0
+    w = np.zeros(n)
+    w[:-1] += half
+    w[1:] += half
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
+
+
+@functools.lru_cache(maxsize=8)
+def _half_line_rule(half_width: float, nodes: int) -> tuple:
+    """Gauss-Legendre rule for int_0^hw f - int_-hw^0 f, hw = half_width.
+
+    The nodes-point rule mapped to [0, half_width], followed by its mirror
+    image on [-half_width, 0] with negated weights.
+    """
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    # map [-1, 1] -> [0, half_width]
+    y = 0.5 * half_width * (x + 1.0)
+    wy = 0.5 * half_width * w
+    y, w = np.concatenate([y, -y]), np.concatenate([wy, -wy])
+    y.flags.writeable = w.flags.writeable = False
+    return y, w
+
+
+def _rule_intensity(coeffs, gaussians, w) -> float:
+    """sum_n w_n |Psi(y_n)|^2 of Psi = coeffs @ gaussians.
+
+    The real and imaginary parts of Psi are the two rows of one real
+    product; no complex array is formed.
+    """
+    parts = np.array([coeffs.real, coeffs.imag]) @ gaussians
+    parts *= parts
+    return float(np.sum(parts @ w))
 
 
 @dataclass(frozen=True)
@@ -41,10 +85,8 @@ class BeamField:
 
     def value(self, y):
         """Field amplitude at y (scalar or numpy array)."""
-        total = 0j if np.isscalar(y) else np.zeros(np.shape(y), dtype=complex)
-        for c in self.components:
-            total = total + c.coeff * np.exp(-((y - c.shift) ** 2))
-        return total
+        coeffs, gaussians = _gaussian_block(self, y)
+        return np.tensordot(coeffs, gaussians, axes=1)[()]
 
     def arrays(self) -> tuple:
         """(coeffs, shifts) of shape (P,), the array engine's input."""
@@ -52,6 +94,16 @@ class BeamField:
             np.array([c.coeff for c in self.components], dtype=complex),
             np.array([c.shift for c in self.components], dtype=float),
         )
+
+
+def _gaussian_block(field: BeamField, y) -> tuple:
+    """(coeffs, gaussians) of a field at y: coeffs of shape (P,) and
+    exp(-(y - shift_p)^2) of shape (P,) + shape(y), one real block."""
+    coeffs, shifts = field.arrays()
+    block = np.subtract.outer(shifts, y)
+    np.square(block, out=block)
+    np.negative(block, out=block)
+    return coeffs, np.exp(block, out=block)
 
 
 def mirror_shifts(scenario: Scenario, t) -> dict:
@@ -361,16 +413,16 @@ def total_intensity(field: BeamField) -> float:
 def total_intensity_quadrature(
     field: BeamField, half_width: float = 8.0, step: float = 1e-3
 ) -> float:
-    """Trapezoid oracle for total_intensity over y in [-half_width, half_width]."""
+    """Trapezoid oracle for total_intensity over y in [-half_width, half_width].
+
+    |Psi|^2 is the square of the field evaluated term by term on the grid.
+    """
     if half_width < 8.0:
         raise ValueError("half_width must be >= 8")
     if step > 1e-2:
         raise ValueError("step must be <= 1e-2")
-    n = int(round(2.0 * half_width / step)) + 1
-    y = np.linspace(-half_width, half_width, n)
-    if not field.components:
-        return 0.0
-    return float(np.trapezoid(np.abs(field.value(y)) ** 2, y))
+    y, w = _trapezoid_rule(half_width, int(round(2.0 * half_width / step)) + 1)
+    return _rule_intensity(*_gaussian_block(field, y), w)
 
 
 def quadcell_signal(field: BeamField) -> float:
@@ -390,13 +442,8 @@ def quadcell_signal_quadrature(
         raise ValueError("half_width must be >= 8")
     if nodes < 16:
         raise ValueError("nodes must be >= 16")
-    x, w = _leggauss_cached(nodes)
-    # map [-1, 1] -> [0, half_width]
-    y = 0.5 * half_width * (x + 1.0)
-    wy = 0.5 * half_width * w
-    pos = float(np.sum(wy * np.abs(field.value(y)) ** 2))
-    neg = float(np.sum(wy * np.abs(field.value(-y)) ** 2))
-    return pos - neg
+    y, w = _half_line_rule(half_width, nodes)
+    return _rule_intensity(*_gaussian_block(field, y), w)
 
 
 def linearized_profile(scenario: Scenario, t: float):

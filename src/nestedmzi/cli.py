@@ -7,6 +7,7 @@ standard output went away before the output was written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -165,12 +166,15 @@ def cmd_plan_check(args) -> int:
 def cmd_validate(args) -> int:
     start = time.perf_counter()
     results = validate.run_all()
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        print(f"[{tag}] {r.name}: {r.detail}")
-    elapsed = time.perf_counter() - start
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f}s")
+    if args.json:
+        print(json.dumps([dataclasses.asdict(r) for r in results], indent=2))
+    else:
+        for r in results:
+            tag = "PASS" if r.passed else "FAIL"
+            print(f"[{tag}] {r.name}: {r.detail}")
+        elapsed = time.perf_counter() - start
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f}s")
     return 1 if failed else 0
 
 
@@ -205,6 +209,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan_check)
 
     p = sub.add_parser("validate", help="run the full self-check suite")
+    p.add_argument("--json", action="store_true",
+                   help="print [{name, passed, detail, seconds}] instead of text")
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -208,17 +208,22 @@ def write_artifacts(outdir, ts: TimeSeries, spec: PowerSpectrum,
 
 
 def write_timeseries_csv(ts: TimeSeries, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(ts.times, ts.samples):
-            fh.write(f"{t:.17g},{v:.17g}\n")
+    _write_columns(path, "t,value", ts.times, ts.samples)
 
 
 def write_spectrum_csv(spec: PowerSpectrum, path) -> None:
+    _write_columns(path, "freq_hz,power", spec.freqs, spec.power)
+
+
+def _write_columns(path, header: str, x, y) -> None:
+    """A header line, then one "x,y" row per element, each as %.17g.
+
+    All rows are formatted as one string, from the interleaved columns.
+    """
+    rows = np.column_stack([x, y]).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("freq_hz,power\n")
-        for f, p in zip(spec.freqs, spec.power):
-            fh.write(f"{f:.17g},{p:.17g}\n")
+        fh.write(header + "\n")
+        fh.write("%.17g,%.17g\n" * len(x) % tuple(rows))
 
 
 def write_attribution_json(report: AttributionReport, path) -> None:

@@ -1,12 +1,14 @@
 """Self-check suite: every model-level invariant, runnable from the CLI.
 
-Each check returns (name, passed, detail). The transcription check passes
-by CONFIRMING the documented extra "00011" term, not by agreement.
+Each check returns (name, passed, detail); run_all adds each check's wall
+time. The transcription check passes by CONFIRMING the documented extra
+"00011" term, not by agreement.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +22,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
 
 def _result(name, passed, detail=""):
@@ -303,4 +306,10 @@ ALL_CHECKS = (
 
 
 def run_all():
-    return [chk() for chk in ALL_CHECKS]
+    """Run ALL_CHECKS in order, timing each one."""
+    results = []
+    for chk in ALL_CHECKS:
+        start = time.perf_counter()
+        result = chk()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -293,3 +293,77 @@ def test_single_mirror_total_intensity_null():
         values.append(total_intensity(BeamField((BeamComponent(1.0, d),))))
     values = np.array(values)
     assert (values.max() - values.min()) / values.mean() < 1e-12
+
+
+# -- quadrature oracles against plain references -------------------------
+#
+# The references evaluate the field as a per-component complex sum and apply
+# the rules as np.trapezoid and as one np.sum per half-line.
+
+
+def reference_value(field, y):
+    total = np.zeros(np.shape(y), dtype=complex)
+    for c in field.components:
+        total = total + c.coeff * np.exp(-((y - c.shift) ** 2))
+    return total
+
+
+def reference_total(field, half_width, step):
+    n = int(round(2.0 * half_width / step)) + 1
+    y = np.linspace(-half_width, half_width, n)
+    return float(np.trapezoid(np.abs(reference_value(field, y)) ** 2, y))
+
+
+def reference_quadcell(field, half_width, nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    y = 0.5 * half_width * (x + 1.0)
+    wy = 0.5 * half_width * w
+    pos = float(np.sum(wy * np.abs(reference_value(field, y)) ** 2))
+    neg = float(np.sum(wy * np.abs(reference_value(field, -y)) ** 2))
+    return pos - neg
+
+
+def random_field(rng, size):
+    return BeamField(
+        tuple(
+            BeamComponent(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(-0.1, 0.1)))
+            for _ in range(size)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "half_width,step,nodes", [(8.0, 1e-3, 400), (10.0, 2e-3, 64), (12.5, 1e-2, 16)]
+)
+def test_oracles_match_plain_references(half_width, step, nodes):
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        field = random_field(rng, i % 4)
+        ref_total = reference_total(field, half_width, step)
+        ref_quad = reference_quadcell(field, half_width, nodes)
+        total = total_intensity_quadrature(field, half_width, step)
+        quad = quadcell_signal_quadrature(field, half_width, nodes)
+        # the quad-cell error is measured against I_T, as validate does: the
+        # two half-lines can cancel
+        assert abs(total - ref_total) <= 1e-14 * ref_total
+        assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
+
+
+@pytest.mark.parametrize(
+    "y", [0.3, -2.0, np.float64(0.05), np.linspace(-3.0, 3.0, 101), np.zeros((2, 3))]
+)
+def test_field_value_is_the_component_sum(y):
+    rng = np.random.default_rng(5)
+    for size in range(4):
+        field = random_field(rng, size)
+        got = field.value(y)
+        assert np.shape(got) == np.shape(y)
+        scale = sum(abs(c.coeff) for c in field.components)
+        assert np.all(np.abs(got - reference_value(field, y)) <= 1e-15 * scale)
+
+
+def test_cached_rules_are_read_only():
+    for y, w in (beam._trapezoid_rule(8.0, 16001), beam._half_line_rule(8.0, 400)):
+        for a in (y, w):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0

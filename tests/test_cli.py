@@ -1,12 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from nestedmzi import spectra
+from nestedmzi import spectra, validate
 from nestedmzi.cli import main
 from nestedmzi.scenario import standard_case
 
@@ -183,6 +184,32 @@ def test_plan_check_collision(capsys):
     )
     assert code == 1
     assert "collision" in out
+
+
+def test_validate_json_lists_the_text_results(capsys):
+    code, out, _ = run(capsys, "validate", "--json")
+    assert code == 0
+    results = json.loads(out)
+    assert len(results) == len(validate.ALL_CHECKS) == 13
+    for r in results:
+        assert list(r) == ["name", "passed", "detail", "seconds"]
+        assert r["passed"] is True
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0.0
+    code, out, _ = run(capsys, "validate")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:-1] == [f"[PASS] {r['name']}: {r['detail']}" for r in results]
+    assert re.fullmatch(r"13/13 checks passed in \d+\.\ds", lines[-1])
+
+
+def test_validate_json_exits_one_on_a_failed_check(capsys, monkeypatch):
+    def failing():
+        return validate.CheckResult("planted", False, "always fails")
+
+    monkeypatch.setattr(validate, "ALL_CHECKS", (validate.check_standard_plans, failing))
+    code, out, _ = run(capsys, "validate", "--json")
+    assert code == 1
+    assert [r["passed"] for r in json.loads(out)] == [True, False]
 
 
 def test_freq_override_and_epsilon(capsys):

@@ -285,3 +285,22 @@ def test_dc_bin_is_never_residual():
     spec = spectra.PowerSpectrum(np.arange(513.0), power, 1.0)
     report = attribute_peaks(spec, sc, "total")
     assert report.residual == ((68.0, 0.25),)
+
+
+def rows_by_loop(header, x, y):
+    return header + "\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y))
+
+
+@pytest.mark.parametrize("model", spectra.MODELS)
+@pytest.mark.parametrize("detector", spectra.DETECTORS)
+@pytest.mark.parametrize("case", "abc")
+def test_csv_writers_match_a_per_row_writer(tmp_path, case, detector, model):
+    ts, spec, _ = spectra.run(standard_case(case), detector, model)
+    spectra.write_timeseries_csv(ts, tmp_path / "timeseries.csv")
+    spectra.write_spectrum_csv(spec, tmp_path / "spectrum.csv")
+    assert (tmp_path / "timeseries.csv").read_bytes() == rows_by_loop(
+        "t,value", ts.times, ts.samples
+    ).encode()
+    assert (tmp_path / "spectrum.csv").read_bytes() == rows_by_loop(
+        "freq_hz,power", spec.freqs, spec.power
+    ).encode()

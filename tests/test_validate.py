@@ -1,7 +1,7 @@
-"""The derived validate checks must still catch a wrong table or line."""
+"""The validate checks must still catch a wrong table, line or closed form."""
 import pytest
 
-from nestedmzi import fock, spectra, validate
+from nestedmzi import beam, fock, spectra, validate
 from nestedmzi.scenario import standard_case
 
 
@@ -52,3 +52,10 @@ def test_spectral_cases_catch_a_scaled_line(monkeypatch, case, mirror):
 
     monkeypatch.setattr(spectra, "run", patched)
     assert not validate.check_spectral_cases().passed
+
+
+@pytest.mark.parametrize("name", ["exact_intensity", "exact_quadcell"])
+def test_detector_oracles_catch_a_closed_form_off_by_1e8(monkeypatch, name):
+    real = getattr(beam, name)
+    monkeypatch.setattr(beam, name, lambda coeffs, shifts: real(coeffs, shifts) * (1 + 1e-8))
+    assert not validate.check_detector_oracles().passed
