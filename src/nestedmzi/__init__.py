@@ -24,7 +24,6 @@ from .fock import (
     compare_transcription,
     mode_projection_probability,
     output_state,
-    propagate_detector_port,
     reference_output_state,
     zero_mode_probability,
 )
@@ -32,9 +31,7 @@ from .beam import (
     BeamComponent,
     BeamField,
     field_at,
-    linearized_field_intensity,
     quadcell_signal,
-    second_order_intensity,
     total_intensity,
 )
 from .spectra import (
@@ -62,15 +59,12 @@ __all__ = [
     "compare_transcription",
     "mode_projection_probability",
     "output_state",
-    "propagate_detector_port",
     "reference_output_state",
     "zero_mode_probability",
     "BeamComponent",
     "BeamField",
     "field_at",
-    "linearized_field_intensity",
     "quadcell_signal",
-    "second_order_intensity",
     "total_intensity",
     "AttributionReport",
     "PowerSpectrum",

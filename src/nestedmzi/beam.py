@@ -292,18 +292,30 @@ def erf(x) -> np.ndarray:
 # coefficients. The scalar functions further down wrap these.
 
 
-def _pairs(coeffs, shifts):
-    """(weight, s_j, s_k) for every path pair j <= k with a nonzero weight.
+def _pair_sum(coeffs, shifts, kernel):
+    """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K.
 
-    weight = Re(c_j conj(c_k)), doubled for j != k: the Gaussian overlap
-    and the erf argument of the closed forms are symmetric in j and k.
+    Summed as sum_j K_jj Re(c_j conj(S)) + sum_{j<k} Re(c_j conj(c_k))
+    (2 K_jk - K_jj - K_kk) with S = sum_j c_j, so two paths of equal shift
+    add exactly 0 and nearly cancelling paths leave |S|^2, not a difference
+    of O(1) terms. Zero-coefficient rows and zero-weight pairs are skipped.
     """
-    for j in range(len(shifts)):
-        for k in range(j, len(shifts)):
+    rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
+    conj_sum = np.conj(sum(coeffs[j] for j in rows))
+    diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
+    total = sum(diag[j] * (coeffs[j] * conj_sum).real for j in rows)
+    for i, j in enumerate(rows):
+        for k in rows[i + 1:]:
             weight = (coeffs[j] * np.conj(coeffs[k])).real
-            if not np.any(weight):
-                continue
-            yield (weight if j == k else 2.0 * weight), shifts[j], shifts[k]
+            if np.any(weight):
+                total = total + weight * (
+                    2.0 * kernel(shifts[j], shifts[k]) - diag[j] - diag[k]
+                )
+    return total
+
+
+def _overlap(a, b):
+    return np.exp(-((a - b) ** 2) / 2.0)
 
 
 def exact_intensity(coeffs, shifts):
@@ -311,10 +323,7 @@ def exact_intensity(coeffs, shifts):
 
     integral exp(-(y-a)^2) exp(-(y-b)^2) dy = sqrt(pi/2) exp(-(a-b)^2/2).
     """
-    total = 0.0
-    for weight, a, b in _pairs(coeffs, shifts):
-        total = total + weight * np.exp(-((a - b) ** 2) / 2.0)
-    return SQRT_HALF_PI * total
+    return SQRT_HALF_PI * _pair_sum(coeffs, shifts, _overlap)
 
 
 def exact_quadcell(coeffs, shifts):
@@ -323,14 +332,9 @@ def exact_quadcell(coeffs, shifts):
     Each Gaussian pair contributes
     sqrt(pi/2) * exp(-(a-b)^2/2) * erf((a+b)/sqrt(2)).
     """
-    total = 0.0
-    for weight, a, b in _pairs(coeffs, shifts):
-        total = total + (
-            weight
-            * np.exp(-((a - b) ** 2) / 2.0)
-            * erf((a + b) / math.sqrt(2.0))
-        )
-    return SQRT_HALF_PI * total
+    return SQRT_HALF_PI * _pair_sum(
+        coeffs, shifts, lambda a, b: _overlap(a, b) * erf((a + b) / math.sqrt(2.0))
+    )
 
 
 def second_order_intensities(coeffs, shifts):
@@ -339,10 +343,9 @@ def second_order_intensities(coeffs, shifts):
     I_T / sqrt(pi/2) = sum_j |c_j|^2
                      + sum_{j != k} Re(c_j conj(c_k)) (1 - (s_j - s_k)^2 / 2).
     """
-    total = 0.0
-    for weight, a, b in _pairs(coeffs, shifts):
-        total = total + weight * (1.0 - ((a - b) ** 2) / 2.0)
-    return SQRT_HALF_PI * total
+    return SQRT_HALF_PI * _pair_sum(
+        coeffs, shifts, lambda a, b: 1.0 - ((a - b) ** 2) / 2.0
+    )
 
 
 def linear_moments(coeffs, shifts):
@@ -444,32 +447,3 @@ def quadcell_signal_quadrature(
         raise ValueError("nodes must be >= 16")
     y, w = _half_line_rule(half_width, nodes)
     return _rule_intensity(*_gaussian_block(field, y), w)
-
-
-def linearized_profile(scenario: Scenario, t: float):
-    """(s0, s1) of the first-order field at time t (see linear_moments)."""
-    return linear_moments(path_coefficients(scenario), path_shifts(scenario, t))
-
-
-def linearized_field_intensity(scenario: Scenario, t: float):
-    """(I_T, dI) of the linearized field at time t (see linearized_intensities)."""
-    return linearized_intensities(
-        path_coefficients(scenario), path_shifts(scenario, t)
-    )
-
-
-def second_order_intensity(scenario: Scenario, t: float) -> float:
-    """second_order_intensities of the scenario's field at time t.
-
-    Predicts which doubled tones survive per case; differs from the exact
-    value at fourth order in the shifts. The smallness bound applies to the
-    individual mirror shifts (component shifts are sums of up to three).
-    """
-    bound = max(abs(d) for d in mirror_shifts(scenario, t).values())
-    if bound > 0.05:
-        raise ValueError(f"mirror shift {bound} exceeds the 0.05 expansion bound")
-    return float(
-        second_order_intensities(
-            path_coefficients(scenario), path_shifts(scenario, t)
-        )
-    )

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .scenario import MIRRORS, PATHS, Scenario, path_weights, standard_case
+from .scenario import MIRRORS, PATHS, path_weights, standard_case
 from .series import EpsSeries, inv_sqrt_one_plus_sq
 
 ZERO_LABEL = "0" * len(MIRRORS)
@@ -181,10 +181,6 @@ def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
             coeffs[rows, size:] += base[: max(order + 1 - size, 0)]
             mask[rows] = True
     return ModeState._of(coeffs, mask)
-
-
-def propagate_detector_port(scenario: Scenario) -> ModeState:
-    return output_state(scenario.phi, scenario.kappa, scenario.series_order)
 
 
 def reference_output_state(phi: float, order: int = 4) -> ModeState:

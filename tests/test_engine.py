@@ -28,9 +28,9 @@ def per_sample(sc, detector, model):
                 else beam.quadcell_signal(field)
             )
         else:
-            value = beam.linearized_field_intensity(sc, t)[
-                spectra.DETECTORS.index(detector)
-            ]
+            value = beam.linearized_intensities(
+                beam.path_coefficients(sc), beam.path_shifts(sc, t)
+            )[spectra.DETECTORS.index(detector)]
         out.append(value)
     return np.array(out)
 
@@ -184,10 +184,8 @@ def test_second_order_array_form_matches_the_per_time_loop(case):
         beam.path_coefficients(sc), beam.path_shifts(sc, times)
     )
     want = np.array([loop_second_order(sc, t) for t in times])
-    scalar = np.array([beam.second_order_intensity(sc, t) for t in times])
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= TOL
-    assert np.max(np.abs(scalar - want)) <= TOL
 
 
 # -- erf kernel ------------------------------------------------------------
