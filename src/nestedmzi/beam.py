@@ -139,24 +139,18 @@ def path_shifts(scenario: Scenario, t) -> np.ndarray:
 
 # -- erf -----------------------------------------------------------------
 #
-# A numpy port of erf from fdlibm's s_erf.c (Sun Microsystems, freely
-# redistributable; glibc's erf descends from it): the same bands, rational
-# approximations and coefficients, each band evaluated only on its own
-# elements. It agrees with the standard library's erf within 1 ulp.
+# |x| < 0.84375 holds for every quad-cell argument at small shifts, and only
+# that band of erf from fdlibm's s_erf.c (Sun Microsystems, freely
+# redistributable; glibc's erf descends from it) is ported to numpy, with its
+# coefficients and nesting order. math.erf takes every other element.
 # scipy.special is not used because importing it costs more than a spectrum
 # run spends sampling.
 
 _ERF_TINY = 2.0**-28
 _ERF_SMALL = 0.84375
-# |x| below which erfc uses the ra/sa fit: the double with the high word
-# 0x4006DB6E and a zero low word, about 1/0.35, as s_erf.c compares it.
-_ERFC_SPLIT = float.fromhex("0x1.6db6ep+1")
-_ERF_ONE = 6.0  # erf rounds to +-1 from here on
-_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
 
 _EFX = 1.28379167095512586316e-01  # 2/sqrt(pi) - 1
-_ERX = 8.45062911510467529297e-01  # erf(x) = erx + P/Q on [0.84375, 1.25)
-# Coefficients, lowest order first; each denominator starts with 1.
+# Coefficients, lowest order first; the denominator starts with 1.
 _PP = (
     1.28379167095512558561e-01, -3.25042107247001499370e-01,
     -2.84817495755985104766e-02, -5.77027029648944159157e-03,
@@ -166,41 +160,6 @@ _QQ = (
     1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
     5.08130628187576562776e-03, 1.32494738004321644526e-04,
     -3.96022827877536812320e-06,
-)
-_PA = (
-    -2.36211856075265944077e-03, 4.14856118683748331666e-01,
-    -3.72207876035701323847e-01, 3.18346619901161753674e-01,
-    -1.10894694282396677476e-01, 3.54783043256182359371e-02,
-    -2.16637559486879084300e-03,
-)
-_QA = (
-    1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
-    7.18286544141962662868e-02, 1.26171219808761642112e-01,
-    1.36370839120290507362e-02, 1.19844998467991074170e-02,
-)
-_RA = (
-    -9.86494403484714822705e-03, -6.93858572707181764372e-01,
-    -1.05586262253232909814e01, -6.23753324503260060396e01,
-    -1.62396669462573470355e02, -1.84605092906711035994e02,
-    -8.12874355063065934246e01, -9.81432934416914548592e00,
-)
-_SA = (
-    1.0, 1.96512716674392571292e01, 1.37657754143519042600e02,
-    4.34565877475229228821e02, 6.45387271733267880336e02,
-    4.29008140027567833386e02, 1.08635005541779435134e02,
-    6.57024977031928170135e00, -6.04244152148580987438e-02,
-)
-_RB = (
-    -9.86494292470009928597e-03, -7.99283237680523006574e-01,
-    -1.77579549177547519889e01, -1.60636384855821916062e02,
-    -6.37566443368389627722e02, -1.02509513161107724954e03,
-    -4.83519191608651397019e02,
-)
-_SB = (
-    1.0, 3.03380607434824582924e01, 3.25792512996573918826e02,
-    1.53672958608443695994e03, 3.19985821950859553908e03,
-    2.55305040643316442583e03, 4.74528541206955367215e02,
-    -2.24409524465858183362e01,
 )
 
 
@@ -229,44 +188,14 @@ def _erf_small(x, ax):
     return y
 
 
-def _erf_middle(x, ax):
-    """0.84375 <= |x| < 1.25: sign(x) (erx + P(|x| - 1)/Q(|x| - 1))."""
-    s = ax - 1.0
-    p = _horner(s, _PA)
-    p /= _horner(s, _QA)
-    p += _ERX
-    return np.copysign(p, x)
-
-
-def _erf_tail(x, ax, r_coeffs, s_coeffs):
-    """1.25 <= |x| < 6: sign(x) (1 - erfc|x|), erfc x = exp(-x^2 - 0.5625 + R/S) / x.
-
-    R/S is a rational function of 1/x^2. z is |x| with the low 32 bits of
-    its mantissa cleared, so z^2 is exact and only the small remainder
-    x^2 - z^2 = (x - z)(x + z) rounds.
-    """
-    s = 1.0 / (ax * ax)
-    ratio = _horner(s, r_coeffs) / _horner(s, s_coeffs)
-    z = (ax.view(np.uint64) & _HIGH_WORD).view(np.float64)
-    r = np.exp(-z * z - 0.5625) * np.exp((z - ax) * (z + ax) + ratio)
-    return np.copysign(1.0 - r / ax, x)
-
-
-# (upper bound of |x|, kernel) per band below 6, in increasing order.
-_ERF_BANDS = (
-    (_ERF_SMALL, _erf_small),
-    (1.25, _erf_middle),
-    (_ERFC_SPLIT, functools.partial(_erf_tail, r_coeffs=_RA, s_coeffs=_SA)),
-    (_ERF_ONE, functools.partial(_erf_tail, r_coeffs=_RB, s_coeffs=_SB)),
-)
-
-
 def erf(x) -> np.ndarray:
     """Error function of a float array (or scalar), as a float array.
 
-    NaN propagates, erf(-0.0) is -0.0 and |x| >= 6 gives +-1. When every
-    |x| < 0.84375, as for every quad-cell argument at small shifts, one
-    rational function runs on the whole array.
+    Elements with |x| < 0.84375 go through one rational function, on the
+    whole array when every element is that small, as for every quad-cell
+    argument at small shifts. The rest, +-inf and NaN included, go to
+    math.erf one at a time. erf(-0.0) is -0.0, +-inf gives +-1 and NaN
+    propagates.
     """
     x = np.asarray(x, dtype=float)
     shape = x.shape
@@ -274,13 +203,10 @@ def erf(x) -> np.ndarray:
     ax = np.abs(x)
     if ax.max(initial=0.0) < _ERF_SMALL:  # False when x holds a NaN
         return _erf_small(x, ax).reshape(shape)
-    out = np.where(ax >= _ERF_ONE, np.copysign(1.0, x), x)
-    low = 0.0
-    for high, kernel in _ERF_BANDS:
-        inside = (ax >= low) & (ax < high)
-        if inside.any():
-            out[inside] = kernel(x[inside], ax[inside])
-        low = high
+    small = ax < _ERF_SMALL
+    out = np.empty_like(x)
+    out[small] = _erf_small(x[small], ax[small])
+    out[~small] = [math.erf(v) for v in x[~small].tolist()]
     return out.reshape(shape)
 
 

@@ -38,7 +38,11 @@ def path_weights(phi: float, kappa: float) -> tuple:
     by 3; the beam model (beam.path_coefficients) takes them as they are
     but with the A-path and B-path entries swapped. The models agree at
     phi = pi; at phi = 0 they differ in which inner arm is out of phase
-    with C. Why the two models swap the inner arms is an open question.
+    with C. The swap only relabels mirrors A and B: the paths (E, A, F) and
+    (E, B, F) differ only in that mirror, and their weights have modulus 1.
+    So swapping them leaves every Fock projector probability and the norm
+    series as they are, and in the beam model it is the same as exchanging
+    A and B.
     """
     return (kappa, cmath.exp(1j * phi), -1.0)
 

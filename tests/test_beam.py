@@ -284,6 +284,21 @@ def test_linearized_intensity_matches_quadrature():
         assert di_lin == pytest.approx(pos - neg, rel=1e-9, abs=1e-14)
 
 
+@pytest.mark.parametrize("s", [1e-2, 1e-3])
+def test_linearized_quadcell_is_first_order_accurate(s):
+    # Psi - Psi_lin = O(sum |c_j| s^2) pointwise, so dI - dI_lin is within
+    # (sum |c_j|)^2 s^2 for generic complex coefficients.
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        p = int(rng.integers(1, 4))
+        coeffs = rng.normal(size=p) + 1j * rng.normal(size=p)
+        shifts = rng.uniform(-s, s, size=p)
+        field = BeamField(tuple(map(BeamComponent, coeffs, shifts)))
+        _, di_lin = linearized_intensities(coeffs, shifts)
+        bound = np.sum(np.abs(coeffs)) ** 2 * s**2
+        assert abs(di_lin - quadcell_signal_quadrature(field)) <= bound
+
+
 # -- second-order expansion ----------------------------------------------
 
 

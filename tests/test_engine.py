@@ -191,7 +191,7 @@ def test_second_order_array_form_matches_the_per_time_loop(case):
 # -- erf kernel ------------------------------------------------------------
 
 # Band edges of the fdlibm erf; the kernel switches formulas at each.
-ERF_EDGES = (2.0**-28, 0.84375, 1.25, beam._ERFC_SPLIT, 6.0)
+ERF_EDGES = (2.0**-28, 0.84375, 1.25, float.fromhex("0x1.6db6ep+1"), 6.0)
 
 
 def erf_grid():
@@ -213,6 +213,13 @@ def test_erf_within_one_ulp_of_math_erf():
     assert not np.any(miss), x[miss][:5]
 
 
+def test_erf_is_math_erf_from_0_84375_on():
+    x = erf_grid()
+    x = np.concatenate([x[np.abs(x) >= 0.84375], [np.inf, -np.inf, np.nan]])
+    want = np.array([math.erf(v) for v in x])
+    assert np.array_equal(beam.erf(x), want, equal_nan=True)
+
+
 def test_erf_below_two_to_minus_28_is_the_linear_term():
     # s_erf.c: erf(x) = x + efx x there, efx = 2/sqrt(pi) - 1
     x = np.geomspace(2.0**-1015, 2.0**-28, 2001)[:-1]
@@ -226,7 +233,7 @@ def test_erf_special_values():
     assert got[1] == 0.0 and np.signbit(got[1])
     assert got[2] == 1.0 and got[3] == -1.0
     assert np.isnan(got[4])
-    # NaN takes the banded path; a lone NaN is still NaN
+    # NaN takes the math.erf path; a lone NaN is still NaN
     assert np.isnan(beam.erf(np.nan))
     assert np.isnan(beam.erf(np.array([0.1, np.nan]))[1])
 
@@ -248,7 +255,7 @@ def test_erf_shapes_and_scalars():
 
 def test_erf_value_does_not_depend_on_the_rest_of_the_array():
     # An all-small array takes the single-ratio path; one large element
-    # sends the same values through the banded path.
+    # sends the same values through the path that also calls math.erf.
     x = np.concatenate([erf_grid(), [0.0]])
     small = x[np.abs(x) < 0.84375]
     assert np.array_equal(beam.erf(small), beam.erf(np.append(small, 5.0))[:-1])

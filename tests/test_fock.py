@@ -97,6 +97,18 @@ def test_kick_preserves_norm_series():
         assert abs(a - b) < 1e-12
 
 
+def test_norm_series_is_the_norm_of_the_evaluated_state():
+    # At order 12 and eps <= 0.05 the products of coefficients above the
+    # truncation order weigh less than 1e-16.
+    rng = np.random.default_rng(9)
+    for _ in range(50):
+        phi, kappa = rng.uniform(0, 2 * math.pi), rng.uniform(0, 1)
+        eps = rng.uniform(1e-3, 0.05)
+        state = output_state(phi, kappa, 12)
+        want = sum(abs(v) ** 2 for v in state.eval(eps).values())
+        assert abs(norm_series(state).eval(eps) - want) <= 1e-12
+
+
 # -- output state --------------------------------------------------------
 
 
@@ -331,6 +343,39 @@ def test_beam_coefficients_are_fock_amplitudes_with_inner_arms_swapped(phi, kapp
     c_path, a_path, b_path = range(len(PATHS))
     swapped = [amps[c_path], amps[b_path], amps[a_path]]
     assert np.max(np.abs(beam.path_coefficients(sc) - 3 * np.array(swapped))) < 1e-15
+
+
+def test_swapping_the_inner_arm_weights_changes_no_fock_readout(monkeypatch):
+    # Paths (E, A, F) and (E, B, F) differ only in mirror A against B, so
+    # swapping their weights relabels A and B. The two weights have modulus
+    # 1, so the projector probabilities, the zero mode and the norm series
+    # stay as they are.
+    rng = np.random.default_rng(5)
+    draws = [
+        (rng.uniform(0, 2 * math.pi), rng.uniform(0, 1), rng.uniform(1e-3, 0.1),
+         int(rng.integers(3, 13)))
+        for _ in range(200)
+    ]
+
+    def readouts():
+        return [
+            (fock.probability_table(phi, kappa, eps, order),
+             np.array(norm_series(output_state(phi, kappa, order)).coeffs))
+            for phi, kappa, eps, order in draws
+        ]
+
+    def swapped(phi, kappa):
+        c, a, b = path_weights(phi, kappa)
+        return c, b, a
+
+    before, state = readouts(), output_state(1.0, 0.5).coeffs
+    monkeypatch.setattr(fock, "path_weights", swapped)
+    after = readouts()
+    assert not np.allclose(output_state(1.0, 0.5).coeffs, state)  # the swap took
+    for (table, norm), (table2, norm2) in zip(before, after):
+        assert table.keys() == table2.keys()
+        assert max(abs(table[k] - table2[k]) for k in table) <= 1e-13
+        assert np.max(np.abs(norm - norm2)) <= 1e-13
 
 
 # -- closed form against the kick enumeration ----------------------------

@@ -142,6 +142,13 @@ def test_sample_count_within_rounding_accepted():
     assert int(round(sc.sample_rate * sc.duration)) == 1024
 
 
+def test_mirror_a_micro_hertz_off_a_whole_cycle_rejected():
+    # 31.000001 cycles per 1 s window leak into every bin of the periodogram
+    freqs = dict(standard_case("b").mirror_freq, A=31.0 + 1e-6)
+    with pytest.raises(ValueError, match=r"mirror_freq\[A\].*integer number of cycles"):
+        standard_case("b").with_overrides(mirror_freq=freqs)
+
+
 def test_rate_bound_compares_mirror_indices_not_float_identity():
     # one float object for every mirror: the pair-sum bound must still see
     # the five distinct mirrors (identity comparison left no pairs and

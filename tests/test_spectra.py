@@ -96,6 +96,16 @@ def test_parseval(tones, dc):
     )
 
 
+@pytest.mark.parametrize("n", [1024, 1023])
+def test_parseval_on_white_noise(n):
+    # white noise has Nyquist content, which an even length puts in one
+    # unpaired bin
+    x = np.random.default_rng(n).standard_normal(n)
+    spec = power_spectrum(TimeSeries(x, float(n), 1.0))
+    x = x - x.mean()
+    assert float(np.sum(spec.power)) == pytest.approx(float(np.mean(x**2)), rel=1e-12)
+
+
 # -- attribution ---------------------------------------------------------
 
 
