@@ -83,11 +83,6 @@ class BeamComponent:
 class BeamField:
     components: tuple
 
-    def value(self, y):
-        """Field amplitude at y (scalar or numpy array)."""
-        coeffs, gaussians = _gaussian_block(self, y)
-        return np.tensordot(coeffs, gaussians, axes=1)[()]
-
     def arrays(self) -> tuple:
         """(coeffs, shifts) of shape (P,), the array engine's input."""
         return (

@@ -151,10 +151,8 @@ def cmd_spectrum(args) -> int:
 def cmd_plan_check(args) -> int:
     sc = build_scenario(args)
     report = check_frequency_plan(sc)
-    print(f"fundamentals: {list(report.fundamentals)}")
-    print(f"doubles:      {list(report.doubles)}")
-    print(f"sums:         {list(report.sums)}")
-    print(f"diffs:        {list(report.diffs)}")
+    for kind in ("fundamentals", "doubles", "sums", "diffs"):
+        print(f"{kind + ':':14}{list(getattr(report, kind))}")
     if report.ok:
         print("plan is attribution-safe (no collisions)")
         return 0

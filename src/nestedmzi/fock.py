@@ -110,21 +110,6 @@ class ModeState:
     def eval(self, eps: float) -> dict:
         return {lab: s.eval(eps) for lab, s in self.amplitudes.items()}
 
-    def to_dict(self) -> dict:
-        return {
-            lab: [[c.real, c.imag] for c in s.coeffs]
-            for lab, s in self.amplitudes.items()
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModeState":
-        return cls(
-            {
-                lab: EpsSeries(tuple(complex(re, im) for re, im in coeffs))
-                for lab, coeffs in data.items()
-            }
-        )
-
 
 def apply_mirror_kick(state: ModeState, mirror: str) -> ModeState:
     """One bounce off a vibrating mirror, Fock-space form.

@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -220,52 +221,45 @@ class CollisionReport:
         return len(self.collisions) == 0
 
 
-def _close(x: float, y: float) -> bool:
-    return abs(x - y) < _FREQ_TOL
+# Attribution reads mirror m at its tone of this kind, f_m or 2 f_m.
+DETECTOR_BINS = {"quad": "fundamentals", "total": "doubles"}
+
+
+def tone_catalogue(scenario: Scenario) -> dict:
+    """Every tone of the active mirrors once: {kind: ((label, freq, mirrors), ...)}.
+
+    The quad cell carries the fundamentals f_m; the total intensity the
+    doubles 2 f_m and the sums and differences f_m +/- f_n. Mirrors with
+    zero vibration amplitude carry no tone. Tones follow MIRRORS order.
+    """
+    f = {m: scenario.mirror_freq[m] for m in MIRRORS if scenario.vib_amplitude[m] > 0}
+    pairs = list(combinations(f, 2))
+    return {
+        "fundamentals": tuple((f"f_{m}", f[m], (m,)) for m in f),
+        "doubles": tuple((f"2f_{m}", 2.0 * f[m], (m,)) for m in f),
+        "sums": tuple((f"f_{m}+f_{n}", f[m] + f[n], (m, n)) for m, n in pairs),
+        "diffs": tuple((f"f_{m}-f_{n}", abs(f[m] - f[n]), (m, n)) for m, n in pairs),
+    }
 
 
 def check_frequency_plan(scenario: Scenario) -> CollisionReport:
-    """Catalog every tone the detectors can produce and flag collisions.
+    """The tone_catalogue, each kind sorted by frequency, and its collisions.
 
-    Total-intensity spectra live at doubled frequencies 2*f_i and at
-    combination tones f_i +/- f_j; quad-cell spectra live at the f_i
-    themselves. Attribution reads exactly one bin per mirror, so a plan is
-    safe only if no combination tone (and no other mirror's tone) lands on
-    an attribution bin. Mirrors with zero vibration amplitude carry no
-    tone and are ignored.
+    A collision is a catalogue tone within _FREQ_TOL of a bin (a fundamental
+    or a double) with another label; attribution refuses such a plan. Each
+    pair's sum and difference, then each mirror's fundamental and double,
+    is checked against the fundamentals, then the doubles.
     """
-    active = [m for m in MIRRORS if scenario.vib_amplitude[m] > 0]
-    freqs = {m: scenario.mirror_freq[m] for m in active}
-    fundamentals = tuple(sorted(freqs.values()))
-    doubles = tuple(sorted(2.0 * f for f in freqs.values()))
-    pairs = [(m, n) for i, m in enumerate(active) for n in active[i + 1 :]]
-    sums = tuple(sorted(freqs[m] + freqs[n] for m, n in pairs))
-    diffs = tuple(sorted(abs(freqs[m] - freqs[n]) for m, n in pairs))
-
-    # Attribution bins: f_m (quad detector) and 2 f_m (total detector).
-    bins = [(f"f_{m}", freqs[m]) for m in active]
-    bins += [(f"2f_{m}", 2.0 * freqs[m]) for m in active]
-
-    collisions = []
-
-    def hit(tone_desc, tone_freq):
-        for bin_desc, bin_freq in bins:
-            if bin_desc == tone_desc:
-                continue
-            if _close(tone_freq, bin_freq):
-                collisions.append(Collision(tone_desc, tone_freq, bin_desc, bin_freq))
-
-    for m, n in pairs:
-        hit(f"f_{m}+f_{n}", freqs[m] + freqs[n])
-        hit(f"f_{m}-f_{n}", abs(freqs[m] - freqs[n]))
-    for m in active:
-        hit(f"f_{m}", freqs[m])
-        hit(f"2f_{m}", 2.0 * freqs[m])
-
-    return CollisionReport(
-        fundamentals=fundamentals,
-        doubles=doubles,
-        sums=sums,
-        diffs=diffs,
-        collisions=tuple(collisions),
+    tones = tone_catalogue(scenario)
+    bins = tones["fundamentals"] + tones["doubles"]
+    collisions = tuple(
+        Collision(label, freq, bin_label, bin_freq)
+        for label, freq, _ in chain(
+            *zip(tones["sums"], tones["diffs"]),
+            *zip(tones["fundamentals"], tones["doubles"]),
+        )
+        for bin_label, bin_freq, _ in bins
+        if abs(freq - bin_freq) < _FREQ_TOL and bin_label != label
     )
+    kinds = {kind: tuple(sorted(freq for _, freq, _ in ts)) for kind, ts in tones.items()}
+    return CollisionReport(**kinds, collisions=collisions)

@@ -57,13 +57,6 @@ class EpsSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "EpsSeries":
-        return EpsSeries(tuple(-c for c in self.coeffs))
-
-    def conjugate(self) -> "EpsSeries":
-        """Coefficient-wise conjugate (eps itself is real)."""
-        return EpsSeries(tuple(c.conjugate() for c in self.coeffs))
-
     def eval(self, eps: float) -> complex:
         acc = 0j
         for c in reversed(self.coeffs):

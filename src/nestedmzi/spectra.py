@@ -2,10 +2,9 @@
 
 The frequency plan puts an integer number of cycles of every tone in the
 window, so a rectangular-window periodogram is leakage-free and each tone
-occupies exactly one bin. Total-intensity signals appear at the doubled
-frequencies 2*f_i; quad-cell signals at f_i. Attribution reads exactly one
-bin per mirror and reports everything else above threshold (combination
-tones f_i +/- f_j) as residual.
+occupies exactly one bin. scenario.tone_catalogue is the one place the
+tones and each detector's bins are defined. Attribution reads one bin per
+mirror and reports everything else above threshold as residual.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beam
-from .scenario import MIRRORS, Scenario, check_frequency_plan
+from .scenario import DETECTOR_BINS, MIRRORS, Scenario, check_frequency_plan, tone_catalogue
 
 RESIDUAL_THRESHOLD = 1e-3
 
@@ -137,7 +136,7 @@ def power_spectrum(ts: TimeSeries) -> PowerSpectrum:
 def attribute_peaks(
     spec: PowerSpectrum, scenario: Scenario, detector: str, *, model: str = ""
 ) -> AttributionReport:
-    """Read one bin per mirror (2 f_i for total, f_i for quad).
+    """Read each mirror's bin, its tone of kind DETECTOR_BINS[detector].
 
     Refuses to attribute when the frequency plan has collisions, since a
     colliding combination tone would be credited to the wrong mirror.
@@ -153,16 +152,12 @@ def attribute_peaks(
         )
         raise ValueError(f"frequency plan has collisions: {details}")
 
-    mult = 2.0 if detector == "total" else 1.0
     mirrors = {}
     residual_bins = np.ones(len(spec.power), dtype=bool)
     residual_bins[0] = False
-    for m in MIRRORS:
-        if scenario.vib_amplitude[m] <= 0:
-            continue
-        f = mult * scenario.mirror_freq[m]
-        k = int(round(f * spec.duration))
-        mirrors[m] = {"freq": f, "power": float(spec.power[k])}
+    for _, freq, (m,) in tone_catalogue(scenario)[DETECTOR_BINS[detector]]:
+        k = int(round(freq * spec.duration))
+        mirrors[m] = {"freq": freq, "power": float(spec.power[k])}
         residual_bins[k] = False
 
     top = max((v["power"] for v in mirrors.values()), default=0.0)

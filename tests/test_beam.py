@@ -403,19 +403,6 @@ def test_oracles_match_plain_references(half_width, step, nodes):
         assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
 
 
-@pytest.mark.parametrize(
-    "y", [0.3, -2.0, np.float64(0.05), np.linspace(-3.0, 3.0, 101), np.zeros((2, 3))]
-)
-def test_field_value_is_the_component_sum(y):
-    rng = np.random.default_rng(5)
-    for size in range(4):
-        field = random_field(rng, size)
-        got = field.value(y)
-        assert np.shape(got) == np.shape(y)
-        scale = sum(abs(c.coeff) for c in field.components)
-        assert np.all(np.abs(got - reference_value(field, y)) <= 1e-15 * scale)
-
-
 def test_cached_rules_are_read_only():
     for y, w in (beam._trapezoid_rule(8.0, 16001), beam._half_line_rule(8.0, 400)):
         for a in (y, w):

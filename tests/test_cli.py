@@ -186,6 +186,22 @@ def test_plan_check_collision(capsys):
     assert "collision" in out
 
 
+def test_plan_check_prints_the_catalogue_and_every_collision(capsys):
+    code, out, _ = run(
+        capsys, "plan-check", "--case", "b", "--freq", "A=62", "--freq", "C=31"
+    )
+    assert code == 1
+    assert out == (
+        "fundamentals: [31.0, 37.0, 47.0, 59.0, 62.0]\n"
+        "doubles:      [62.0, 74.0, 94.0, 118.0, 124.0]\n"
+        "sums:         [68.0, 78.0, 84.0, 90.0, 93.0, 96.0, 99.0, 106.0, 109.0, 121.0]\n"
+        "diffs:        [3.0, 6.0, 10.0, 12.0, 15.0, 16.0, 22.0, 25.0, 28.0, 31.0]\n"
+        "collision: f_A-f_C=31 hits f_C=31\n"
+        "collision: f_A=62 hits 2f_C=62\n"
+        "collision: 2f_C=62 hits f_A=62\n"
+    )
+
+
 def test_validate_json_lists_the_text_results(capsys):
     code, out, _ = run(capsys, "validate", "--json")
     assert code == 0

@@ -244,6 +244,11 @@ def test_case_tables(eps):
         assert t[m] <= 10 * eps**4
 
 
+def test_zero_mode_probability_case_a():
+    st = output_state(math.pi, 1.0)
+    assert zero_mode_probability(st, 1e-3) == pytest.approx(1 / 9, rel=1e-5)
+
+
 # -- BCJLSS witness ------------------------------------------------------
 
 
@@ -310,21 +315,6 @@ def test_witness_proportional_to_leading_probabilities(case, expected):
         wit = bcjlss_witness(bstate, m)
         assert abs(lead - wit) < 1e-10
         assert wit == pytest.approx(expected[m], abs=1e-12)
-
-
-# -- serialization -------------------------------------------------------
-
-
-def test_mode_state_round_trip():
-    st = output_state(math.pi, 1.0)
-    again = fock.ModeState.from_dict(st.to_dict())
-    for lab in st.support():
-        assert again.amplitude(lab).coeffs == st.amplitude(lab).coeffs
-
-
-def test_zero_mode_probability_case_a():
-    st = output_state(math.pi, 1.0)
-    assert zero_mode_probability(st, 1e-3) == pytest.approx(1 / 9, rel=1e-5)
 
 
 # -- phase convention shared with the beam model -------------------------

@@ -2,14 +2,17 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nestedmzi.scenario import (
+    DEFAULT_FREQS,
     MAX_SERIES_ORDER,
     MIRRORS,
+    Collision,
     Scenario,
     check_frequency_plan,
     standard_case,
+    tone_catalogue,
 )
 
 
@@ -100,10 +103,18 @@ def _exhaustive_tone_collisions(freqs):
     return hits
 
 
-def test_default_plan_matches_brute_force():
-    sc = standard_case("b")
-    assert _exhaustive_tone_collisions(sc.mirror_freq) == []
-    assert check_frequency_plan(sc).ok
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 59), min_size=5, max_size=5),
+    st.sets(st.sampled_from(MIRRORS), max_size=3),
+)
+@example(list(DEFAULT_FREQS.values()), set())
+def test_plan_matches_brute_force(freqs, at_rest):
+    freqs = {m: float(f) for m, f in zip(MIRRORS, freqs)}
+    amps = {m: 0.0 if m in at_rest else 0.01 for m in MIRRORS}
+    sc = standard_case("b").with_overrides(mirror_freq=freqs, vib_amplitude=amps)
+    active = {m: f for m, f in freqs.items() if m not in at_rest}
+    assert check_frequency_plan(sc).ok == (_exhaustive_tone_collisions(active) == [])
 
 
 def test_colliding_plan_detected():
@@ -116,6 +127,28 @@ def test_colliding_plan_detected():
     assert any(
         c.tone_freq == 94.0 and c.bin_freq == 94.0 for c in report.collisions
     )
+
+
+def test_plan_lists_every_collision_in_order():
+    # f_A = 2 f_C: f_A - f_C lands on f_C, and f_A shares a bin with 2f_C
+    freqs = {**DEFAULT_FREQS, "A": 62.0, "C": 31.0}
+    report = check_frequency_plan(standard_case("b").with_overrides(mirror_freq=freqs))
+    assert report.collisions == (
+        Collision("f_A-f_C", 31.0, "f_C", 31.0),
+        Collision("f_A", 62.0, "2f_C", 62.0),
+        Collision("2f_C", 62.0, "f_A", 62.0),
+    )
+
+
+def test_tone_catalogue_lists_each_tone_of_the_active_mirrors_once():
+    amps = {**standard_case("b").vib_amplitude, "B": 0.0, "E": 0.0, "F": 0.0}
+    tones = tone_catalogue(standard_case("b").with_overrides(vib_amplitude=amps))
+    assert tones == {
+        "fundamentals": (("f_A", 31.0, ("A",)), ("f_C", 41.0, ("C",))),
+        "doubles": (("2f_A", 62.0, ("A",)), ("2f_C", 82.0, ("C",))),
+        "sums": (("f_A+f_C", 72.0, ("A", "C")),),
+        "diffs": (("f_A-f_C", 10.0, ("A", "C")),),
+    }
 
 
 def test_single_mirror_plan_trivially_clean():
