@@ -24,38 +24,36 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 # -- quadrature rules of the oracles -------------------------------------
 #
-# Each rule is a cached, read-only (nodes, weights) pair, so an oracle call
-# is one weighted sum of |Psi|^2 over the nodes.
+# Each rule is built on first use and cached read-only as a (nodes, weights)
+# pair, so an oracle call is one weighted sum of |Psi|^2 over the nodes.
 
 
-@functools.lru_cache(maxsize=8)
-def _trapezoid_rule(half_width: float, n: int) -> tuple:
-    """n-point trapezoid rule on [-half_width, half_width].
+@functools.cache
+def _trapezoid_rule() -> tuple:
+    """16001-point trapezoid rule (step 1e-3) on [-8, 8].
 
     Each interval d of np.diff(y) puts d/2 on both of its ends: the rule of
     np.trapezoid(f, y), summed in a different order.
     """
-    y = np.linspace(-half_width, half_width, n)
+    y = np.linspace(-8.0, 8.0, 16001)
     half = np.diff(y) / 2.0
-    w = np.zeros(n)
+    w = np.zeros(len(y))
     w[:-1] += half
     w[1:] += half
     y.flags.writeable = w.flags.writeable = False
     return y, w
 
 
-@functools.lru_cache(maxsize=8)
-def _half_line_rule(half_width: float, nodes: int) -> tuple:
-    """Gauss-Legendre rule for int_0^hw f - int_-hw^0 f, hw = half_width.
+@functools.cache
+def _half_line_rule() -> tuple:
+    """Gauss-Legendre rule for int_0^8 f - int_-8^0 f.
 
-    The nodes-point rule mapped to [0, half_width], followed by its mirror
-    image on [-half_width, 0] with negated weights.
+    The 400-point rule mapped to [0, 8], followed by its mirror image on
+    [-8, 0] with negated weights.
     """
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    # map [-1, 1] -> [0, half_width]
-    y = 0.5 * half_width * (x + 1.0)
-    wy = 0.5 * half_width * w
-    y, w = np.concatenate([y, -y]), np.concatenate([wy, -wy])
+    x, w = np.polynomial.legendre.leggauss(400)
+    y = 4.0 * (x + 1.0)  # [-1, 1] -> [0, 8]
+    y, w = np.concatenate([y, -y]), np.concatenate([4.0 * w, -4.0 * w])
     y.flags.writeable = w.flags.writeable = False
     return y, w
 
@@ -213,25 +211,29 @@ def erf(x) -> np.ndarray:
 # coefficients. The scalar functions further down wrap these.
 
 
+def _zeros(coeffs, shifts):
+    """Zeros of the broadcast trailing shape: where every engine sum starts."""
+    return np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
+
+
 def _pair_sum(coeffs, shifts, kernel):
     """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K.
 
     Summed as sum_j K_jj Re(c_j conj(S)) + sum_{j<k} Re(c_j conj(c_k))
     (2 K_jk - K_jj - K_kk) with S = sum_j c_j, so two paths of equal shift
     add exactly 0 and nearly cancelling paths leave |S|^2, not a difference
-    of O(1) terms. Zero-coefficient rows and zero-weight pairs are skipped.
+    of O(1) terms. Zero-coefficient rows are skipped.
     """
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
     diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
-    total = sum(diag[j] * (coeffs[j] * conj_sum).real for j in rows)
+    total = sum(
+        (diag[j] * (coeffs[j] * conj_sum).real for j in rows), _zeros(coeffs, shifts)
+    )
     for i, j in enumerate(rows):
         for k in rows[i + 1:]:
             weight = (coeffs[j] * np.conj(coeffs[k])).real
-            if np.any(weight):
-                total = total + weight * (
-                    2.0 * kernel(shifts[j], shifts[k]) - diag[j] - diag[k]
-                )
+            total += weight * (2.0 * kernel(shifts[j], shifts[k]) - diag[j] - diag[k])
     return total
 
 
@@ -277,8 +279,8 @@ def linear_moments(coeffs, shifts):
     blocked-arm case the static parts cancel (s0 = 0) and Psi_lin reduces
     to 2 y exp(-y^2) (d_B - d_A).
     """
-    s0 = sum(coeffs)
-    s1 = sum(c * s for c, s in zip(coeffs, shifts))
+    s0 = sum(coeffs, _zeros(coeffs, shifts))
+    s1 = sum((c * s for c, s in zip(coeffs, shifts)), _zeros(coeffs, shifts))
     return s0, s1
 
 
@@ -334,18 +336,12 @@ def total_intensity(field: BeamField) -> float:
     return float(exact_intensity(*field.arrays()))
 
 
-def total_intensity_quadrature(
-    field: BeamField, half_width: float = 8.0, step: float = 1e-3
-) -> float:
-    """Trapezoid oracle for total_intensity over y in [-half_width, half_width].
+def total_intensity_quadrature(field: BeamField) -> float:
+    """Trapezoid oracle for total_intensity: 16001 points, step 1e-3, on [-8, 8].
 
     |Psi|^2 is the square of the field evaluated term by term on the grid.
     """
-    if half_width < 8.0:
-        raise ValueError("half_width must be >= 8")
-    if step > 1e-2:
-        raise ValueError("step must be <= 1e-2")
-    y, w = _trapezoid_rule(half_width, int(round(2.0 * half_width / step)) + 1)
+    y, w = _trapezoid_rule()
     return _rule_intensity(*_gaussian_block(field, y), w)
 
 
@@ -354,17 +350,11 @@ def quadcell_signal(field: BeamField) -> float:
     return float(exact_quadcell(*field.arrays()))
 
 
-def quadcell_signal_quadrature(
-    field: BeamField, half_width: float = 8.0, nodes: int = 400
-) -> float:
-    """Gauss-Legendre oracle for quadcell_signal, one rule per half-line.
+def quadcell_signal_quadrature(field: BeamField) -> float:
+    """Gauss-Legendre oracle for quadcell_signal, 400 nodes per half of [-8, 8].
 
     A fixed high-order rule is used instead of the trapezoid because the
     integrand is truncated at y = 0 where its derivatives do not vanish.
     """
-    if half_width < 8.0:
-        raise ValueError("half_width must be >= 8")
-    if nodes < 16:
-        raise ValueError("nodes must be >= 16")
-    y, w = _half_line_rule(half_width, nodes)
+    y, w = _half_line_rule()
     return _rule_intensity(*_gaussian_block(field, y), w)

@@ -157,7 +157,7 @@ def cmd_plan_check(args) -> int:
         print("plan is attribution-safe (no collisions)")
         return 0
     for c in report.collisions:
-        print(f"collision: {c.tone_desc}={c.tone_freq:g} hits {c.bin_desc}={c.bin_freq:g}")
+        print(f"collision: {c}")
     return 1
 
 

@@ -60,11 +60,6 @@ def _label(row) -> str:
     return format(row, f"0{len(MIRRORS)}b")
 
 
-def _bit_values(state: ModeState, mirror: str, eps: float) -> np.ndarray:
-    """Amplitudes at eps of the modes whose label carries the mirror's bit."""
-    return state.coeffs[_PAIRS[mirror][1]] @ eps ** np.arange(state.order + 1)
-
-
 class ModeState:
     """Built from {label: EpsSeries}; a label not given has amplitude 0.
 
@@ -209,7 +204,8 @@ def norm_series(state: ModeState) -> EpsSeries:
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
-    return float(np.sum(np.abs(_bit_values(state, mirror, epsilon)) ** 2))
+    values = state.coeffs[_PAIRS[mirror][1]] @ epsilon ** np.arange(state.order + 1)
+    return float(np.sum(np.abs(values) ** 2))
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
@@ -219,6 +215,8 @@ def zero_mode_probability(state: ModeState, epsilon: float) -> float:
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:
     """Exact eps^2 coefficient of the projector probability series:
     c_0 c_2* + c_1 c_1* + c_2 c_0* summed over the rows with the bit."""
+    if state.order < 2:
+        raise ValueError(f"the eps^2 coefficient needs order >= 2, got {state.order}")
     c = state.coeffs[_PAIRS[mirror][1]]
     return float(np.sum(c[:, :3] * c[:, 2::-1].conj()).real)
 
@@ -233,10 +231,10 @@ def probability_table(
     return table
 
 
-def case_probability_table(case_id: str, epsilon: float, order: int = 4) -> dict:
-    """probability_table of a canonical case (a, b or c)."""
+def case_probability_table(case_id: str, epsilon: float) -> dict:
+    """probability_table of a canonical case (a, b or c), at order 4."""
     sc = standard_case(case_id)
-    return probability_table(sc.phi, sc.kappa, epsilon, order)
+    return probability_table(sc.phi, sc.kappa, epsilon)
 
 
 def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
@@ -250,14 +248,14 @@ def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
     return ModeState(amps)
 
 
-def bcjlss_witness(state: ModeState, mirror: str, epsilon: float = 0.0) -> float:
+def bcjlss_witness(state: ModeState, mirror: str) -> float:
     """Squared scalar product with the unweighted sum of bit-set kets.
 
-    Coherent: amplitudes on different labels interfere before squaring.
-    Kept unnormalized exactly as defined (the post-selected ket has norm
-    4, not 1).
+    Coherent: the eps^0 amplitudes on different labels interfere before
+    squaring. Kept unnormalized exactly as defined (the post-selected ket
+    has norm 4, not 1).
     """
-    return float(abs(np.sum(_bit_values(state, mirror, epsilon))) ** 2)
+    return float(abs(np.sum(state.coeffs[_PAIRS[mirror][1], 0])) ** 2)
 
 
 # -- transcription comparison -------------------------------------------
@@ -273,7 +271,7 @@ class CoefficientDiff:
 
 @dataclass(frozen=True)
 class TranscriptionReport:
-    """Path enumeration vs literal transcription, coefficient by coefficient.
+    """Path enumeration vs literal transcription: the coefficients off by > 1e-12.
 
     extra_terms: labels the transcription omits entirely but the path model
     produces (the E+F-only label "00011" at second order).
@@ -283,7 +281,6 @@ class TranscriptionReport:
     unexpected: anything else -- must be empty for the check to pass.
     """
 
-    agreed: tuple
     extra_terms: tuple
     normalization_drift: tuple
     unexpected: tuple
@@ -297,9 +294,9 @@ class TranscriptionReport:
         return any(d.label == "00011" and d.power == 2 for d in self.extra_terms)
 
 
-def compare_transcription(
-    phi: float, order: int = 4, tol: float = 1e-12
-) -> TranscriptionReport:
+def compare_transcription(phi: float, order: int = 4) -> TranscriptionReport:
+    """Compare output_state(phi, 1, order) with reference_output_state
+    coefficient by coefficient; only the disagreeing ones are visited."""
     computed = output_state(phi, 1.0, order)
     transcribed = reference_output_state(phi, order)
     rows = np.flatnonzero(computed.mask | transcribed.mask)
@@ -307,15 +304,12 @@ def compare_transcription(
     nonzero = b != 0
     # power of each row's first transcribed term, -1 for rows not transcribed
     leading = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)[:, None]
-    conditions = [np.abs(a - b) <= tol, leading < 0, np.arange(order + 1) > leading]
+    conditions = [np.abs(a - b) <= 1e-12, leading < 0, np.arange(order + 1) > leading]
+    # 0 agreed, 1 extra term, 2 normalization drift, 3 unexpected
     kind = np.select(conditions, [0, 1, 2], 3)
-    # agreed, extra terms, normalization drift, unexpected
-    found = ([], [], [], [])
-    for (i, k), which in np.ndenumerate(kind):
-        label = _label(rows[i])
-        found[which].append(
-            (label, k)
-            if which == 0
-            else CoefficientDiff(label, k, complex(a[i, k]), complex(b[i, k]))
+    found = ([], [], [])
+    for i, k in zip(*np.nonzero(kind)):
+        found[kind[i, k] - 1].append(
+            CoefficientDiff(_label(rows[i]), int(k), complex(a[i, k]), complex(b[i, k]))
         )
     return TranscriptionReport(*map(tuple, found))

@@ -207,6 +207,9 @@ class Collision:
     bin_desc: str
     bin_freq: float
 
+    def __str__(self) -> str:
+        return f"{self.tone_desc}={self.tone_freq:g} hits {self.bin_desc}={self.bin_freq:g}"
+
 
 @dataclass(frozen=True)
 class CollisionReport:

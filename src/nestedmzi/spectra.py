@@ -146,10 +146,7 @@ def attribute_peaks(
         raise ValueError(f"detector must be one of {DETECTORS}")
     plan = check_frequency_plan(scenario)
     if not plan.ok:
-        details = "; ".join(
-            f"{c.tone_desc}={c.tone_freq:g} hits {c.bin_desc}={c.bin_freq:g}"
-            for c in plan.collisions
-        )
+        details = "; ".join(map(str, plan.collisions))
         raise ValueError(f"frequency plan has collisions: {details}")
 
     mirrors = {}

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,16 +112,13 @@ def test_quadrature_basics():
     assert total_intensity_quadrature(BeamField(())) == 0.0
     one = BeamField((BeamComponent(1.0, 0.0),))
     assert total_intensity_quadrature(one) == pytest.approx(SQRT_HALF_PI, rel=1e-9)
-    with pytest.raises(ValueError):
-        total_intensity_quadrature(one, half_width=4.0)
-    with pytest.raises(ValueError):
-        total_intensity_quadrature(one, step=0.1)
 
 
 def test_quadrature_step_halving_agreement():
+    # The oracle's step 1e-3 against the plain trapezoid at step 5e-4.
     field = BeamField((BeamComponent(0.4 - 0.3j, 0.05), BeamComponent(1.0, -0.02)))
-    coarse = total_intensity_quadrature(field, step=1e-3)
-    fine = total_intensity_quadrature(field, step=5e-4)
+    coarse = total_intensity_quadrature(field)
+    fine = reference_total(field, 8.0, 5e-4)
     assert coarse == pytest.approx(fine, rel=1e-12)
 
 
@@ -386,17 +387,59 @@ def random_field(rng, size):
     )
 
 
+def trapezoid_rule(half_width, step):
+    y = np.linspace(-half_width, half_width, int(round(2.0 * half_width / step)) + 1)
+    half = np.diff(y) / 2.0
+    w = np.zeros(len(y))
+    w[:-1] += half
+    w[1:] += half
+    return y, w
+
+
+def half_line_rule(half_width, nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    y, w = 0.5 * half_width * (x + 1.0), 0.5 * half_width * w
+    return np.concatenate([y, -y]), np.concatenate([w, -w])
+
+
+def on_rule(field, y, w):
+    return beam._rule_intensity(*beam._gaussian_block(field, y), w)
+
+
 @pytest.mark.parametrize(
     "half_width,step,nodes", [(8.0, 1e-3, 400), (10.0, 2e-3, 64), (12.5, 1e-2, 16)]
 )
 def test_oracles_match_plain_references(half_width, step, nodes):
+    # The oracles' evaluation (one real block per field, precomputed weights)
+    # on each grid against the plain term-by-term references on that grid;
+    # the first grid is the oracles' own.
+    total_rule = trapezoid_rule(half_width, step)
+    quad_rule = half_line_rule(half_width, nodes)
+    own = (half_width, step, nodes) == (8.0, 1e-3, 400)
     rng = np.random.default_rng(11)
     for i in range(60):
         field = random_field(rng, i % 4)
         ref_total = reference_total(field, half_width, step)
         ref_quad = reference_quadcell(field, half_width, nodes)
-        total = total_intensity_quadrature(field, half_width, step)
-        quad = quadcell_signal_quadrature(field, half_width, nodes)
+        total = on_rule(field, *total_rule)
+        quad = on_rule(field, *quad_rule)
+        if own:
+            assert total_intensity_quadrature(field) == total
+            assert quadcell_signal_quadrature(field) == quad
+        assert abs(total - ref_total) <= 1e-14 * ref_total
+        assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
+
+
+def test_oracles_match_plain_references_on_a_finer_wider_grid():
+    # The oracles' fixed grids (step 1e-3 and 400 nodes per half-line on
+    # [-8, 8]) against half the step, twice the nodes and half-width 10.
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        field = random_field(rng, i % 4)
+        ref_total = reference_total(field, 10.0, 5e-4)
+        ref_quad = reference_quadcell(field, 10.0, 800)
+        total = total_intensity_quadrature(field)
+        quad = quadcell_signal_quadrature(field)
         # the quad-cell error is measured against I_T, as validate does: the
         # two half-lines can cancel
         assert abs(total - ref_total) <= 1e-14 * ref_total
@@ -404,7 +447,42 @@ def test_oracles_match_plain_references(half_width, step, nodes):
 
 
 def test_cached_rules_are_read_only():
-    for y, w in (beam._trapezoid_rule(8.0, 16001), beam._half_line_rule(8.0, 400)):
+    rules = (beam._trapezoid_rule, beam._half_line_rule)
+    for rule, size in zip(rules, (16001, 800)):
+        y, w = rule()
+        assert rule() is rule()
+        assert y.shape == w.shape == (size,)
+        assert np.abs(y).max() <= 8.0
         for a in (y, w):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+
+
+def test_rules_are_not_built_at_import():
+    code = (
+        "from nestedmzi import beam; "
+        "print(beam._trapezoid_rule.cache_info().currsize, "
+        "beam._half_line_rule.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(beam.__file__).parents[1])},
+    ).stdout
+    assert out.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("phi", [math.pi / 2, 3 * math.pi / 2])
+def test_zero_weight_pair_matches_both_oracles(phi):
+    # Re(c_A conj(c_B)) = -cos(phi) = 0 up to the rounding of cos(phi), and
+    # exactly 0 for the two-component field: a pair whose weight is 0.
+    sc = scaled_case("a", 0.05).with_overrides(phi=phi)
+    coeffs = path_coefficients(sc)
+    assert abs((coeffs[1] * np.conj(coeffs[2])).real) < 1e-15
+    fields = [field_at(sc, t) for t in np.linspace(0.0, 1.0, 17)]
+    pair = BeamField((BeamComponent(0.6, 0.04), BeamComponent(0.8j, -0.03)))
+    assert (pair.components[0].coeff * np.conj(pair.components[1].coeff)).real == 0.0
+    for field in [*fields, pair]:
+        total = total_intensity(field)
+        assert abs(total - total_intensity_quadrature(field)) <= 1e-12 * total
+        quad = quadcell_signal_quadrature(field)
+        assert abs(quadcell_signal(field) - quad) <= 1e-12 * max(abs(quad), total)

@@ -202,6 +202,22 @@ def test_plan_check_prints_the_catalogue_and_every_collision(capsys):
     )
 
 
+@pytest.mark.parametrize("detector", ["quad", "total"])
+def test_attribution_error_lists_the_collisions_plan_check_prints(capsys, detector):
+    _, out, _ = run(
+        capsys, "plan-check", "--case", "b", "--freq", "A=62", "--freq", "C=31"
+    )
+    printed = [line[len("collision: "):] for line in out.splitlines()[4:]]
+    assert len(printed) == 3
+    sc = standard_case("b").with_overrides(
+        mirror_freq={**standard_case("b").mirror_freq, "A": 62.0, "C": 31.0}
+    )
+    spec = spectra.power_spectrum(spectra.sample_detector(sc, detector, "exact"))
+    with pytest.raises(ValueError) as err:
+        spectra.attribute_peaks(spec, sc, detector)
+    assert str(err.value) == "frequency plan has collisions: " + "; ".join(printed)
+
+
 def test_validate_json_lists_the_text_results(capsys):
     code, out, _ = run(capsys, "validate", "--json")
     assert code == 0

@@ -154,6 +154,22 @@ def test_padded_fields_match_unpadded_scalar_calls():
         assert abs(di_lin[k] - want_di) <= TOL
 
 
+@pytest.mark.parametrize(
+    "coeffs,shifts",
+    [
+        (np.zeros((3, 4), complex), np.zeros((3, 4))),
+        (np.zeros((2, 4), complex), np.zeros(2)),
+        beam.stack_fields([BeamField(()), BeamField(()), BeamField(()), BeamField(())]),
+    ],
+)
+def test_no_populated_row_gives_zeros_of_the_trailing_shape(coeffs, shifts):
+    for f in (beam.exact_intensity, beam.exact_quadcell, beam.second_order_intensities):
+        values = f(coeffs, shifts)
+        assert values.shape == (4,) and not values.any()
+    for values in beam.linearized_intensities(coeffs, shifts):
+        assert values.shape == (4,) and not values.any()
+
+
 def test_scalar_calls_return_python_floats():
     field = beam.field_at(standard_case("a"), 0.3)
     assert type(beam.total_intensity(field)) is float

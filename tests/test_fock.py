@@ -177,6 +177,38 @@ def test_transcription_agreement_and_extra_term():
         assert all(d.power >= 2 for d in report.normalization_drift)
 
 
+def _classify_each_entry(phi, order):
+    """Each coefficient classified on its own, entry by entry: (extra terms,
+    normalization drift, unexpected) as (label, power, computed, transcribed)."""
+    computed = output_state(phi, 1.0, order)
+    transcribed = reference_output_state(phi, order)
+    found = ([], [], [])
+    for label in ALL_LABELS:
+        if label not in computed.support() and label not in transcribed.support():
+            continue
+        a = computed.amplitude(label).coeffs
+        b = transcribed.amplitude(label).coeffs
+        powers = [k for k in range(order + 1) if b[k] != 0]
+        for k in range(order + 1):
+            if abs(a[k] - b[k]) <= 1e-12:
+                continue
+            which = 0 if not powers else 1 if k > powers[0] else 2
+            found[which].append((label, k, complex(a[k]), complex(b[k])))
+    return found
+
+
+@pytest.mark.parametrize("order", [4, 8, 12])
+@pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, math.pi, 4.4])
+def test_transcription_report_matches_a_per_entry_classification(phi, order):
+    report = compare_transcription(phi, order)
+    got = [
+        [(d.label, d.power, d.computed, d.transcribed) for d in part]
+        for part in (report.extra_terms, report.normalization_drift, report.unexpected)
+    ]
+    assert got == list(_classify_each_entry(phi, order))
+    assert all(type(d.power) is int for d in report.extra_terms)
+
+
 def test_transcription_drift_is_per_mirror_normalization():
     report = compare_transcription(math.pi)
     # the zero-mode eps^2 drift is the three-path normalization pull
@@ -188,6 +220,16 @@ def test_transcription_drift_is_per_mirror_normalization():
 
 
 # -- projector probabilities --------------------------------------------
+
+
+def test_projection_leading_coeff_needs_order_two():
+    # amplitude 1 + eps on one mode: probability 1 + 2 eps + eps^2
+    for order in (0, 1):
+        st = ModeState({"10000": EpsSeries((1.0, 1.0)[: order + 1])})
+        with pytest.raises(ValueError, match=f"got {order}"):
+            projection_leading_coeff(st, "A")
+    st = ModeState({"10000": EpsSeries((1.0, 1.0, 0.0))})
+    assert projection_leading_coeff(st, "A") == 1.0
 
 
 def test_projection_empty_state_is_zero():
