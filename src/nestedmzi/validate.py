@@ -110,16 +110,18 @@ def check_transcription():
 
 
 def _random_fields(rng, count):
+    """1-3 components per field: coeff re, im uniform on [-1, 1), shift on
+    [-0.1, 0.1). One draw of (n, 3) per field takes the same numbers from
+    rng, in the same order, as rng.uniform per value."""
+    low, span = np.array([-1.0, -1.0, -0.1]), np.array([2.0, 2.0, 0.2])
     for _ in range(count):
         n = rng.integers(1, 4)
-        comps = tuple(
-            beam.BeamComponent(
-                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                float(rng.uniform(-0.1, 0.1)),
+        draws = low + span * rng.random((n, 3))
+        yield beam.BeamField(
+            tuple(
+                beam.BeamComponent(complex(re, im), s) for re, im, s in draws.tolist()
             )
-            for _ in range(n)
         )
-        yield beam.BeamField(comps)
 
 
 def check_detector_oracles():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,7 +413,9 @@ def on_rule(field, y, w):
 def test_oracles_match_plain_references(half_width, step, nodes):
     # The oracles' evaluation (one real block per field, precomputed weights)
     # on each grid against the plain term-by-term references on that grid;
-    # the first grid is the oracles' own.
+    # the first grid is the oracles' own. There the trapezoid oracle, which
+    # factors each Gaussian on rows of nodes, is held to the plain reference
+    # and the quad-cell oracle to its own evaluation, exactly.
     total_rule = trapezoid_rule(half_width, step)
     quad_rule = half_line_rule(half_width, nodes)
     own = (half_width, step, nodes) == (8.0, 1e-3, 400)
@@ -424,7 +427,7 @@ def test_oracles_match_plain_references(half_width, step, nodes):
         total = on_rule(field, *total_rule)
         quad = on_rule(field, *quad_rule)
         if own:
-            assert total_intensity_quadrature(field) == total
+            assert abs(total_intensity_quadrature(field) - ref_total) <= 1e-14 * ref_total
             assert quadcell_signal_quadrature(field) == quad
         assert abs(total - ref_total) <= 1e-14 * ref_total
         assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
@@ -456,19 +459,63 @@ def test_cached_rules_are_read_only():
         for a in (y, w):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
+    # The trapezoid rule in rows: slot m of row b is node 128 b + m, and the
+    # two copies of the weights are 0 past the last node.
+    rows = beam._trapezoid_rows()
+    assert beam._trapezoid_rows() is rows
+    start, offset, v = rows
+    assert start.shape == (126,) and offset.shape == (128,) and v.shape == (126, 256)
+    y = beam._trapezoid_rule()[0]
+    nodes = (start[:, np.newaxis] + offset).ravel()
+    assert np.abs(nodes[: len(y)] - y).max() <= 4e-15
+    for half in (v[:, :128], v[:, 128:]):
+        assert np.all(half.ravel()[len(y):] == 0.0)
+    for a in rows:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
 
 
 def test_rules_are_not_built_at_import():
     code = (
         "from nestedmzi import beam; "
         "print(beam._trapezoid_rule.cache_info().currsize, "
+        "beam._trapezoid_rows.cache_info().currsize, "
         "beam._half_line_rule.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(Path(beam.__file__).parents[1])},
     ).stdout
-    assert out.split() == ["0", "0"]
+    assert out.split() == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize("shift", [20.0, -50.0, 1e3, 1e4, -1e4])
+def test_far_off_grid_shifts_match_the_direct_evaluation(shift):
+    # The factored oracle against exp(-(y - s)^2) evaluated on every node,
+    # alone and next to a component on the grid: no overflow warning, and
+    # equal within 1e-14 or both exactly 0 where every node underflows.
+    rule = beam._trapezoid_rule()
+    far = BeamComponent(0.7 - 0.3j, shift)
+    for field in (BeamField((far,)), BeamField((far, BeamComponent(0.2 + 0.5j, 0.05)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = total_intensity_quadrature(field)
+        want = on_rule(field, *rule)
+        assert got == want == 0.0 or abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize(
+    "eta,delta", [(2**-20, 1e-6), (2**-17, 3e-5), (0.0, 1e-6), (2**-10, 1e-3)]
+)
+def test_nearly_cancelling_pair_matches_its_exact_value(eta, delta):
+    # Psi = -G(y - s) + (1 + i eta) G(y - s - delta): |Psi|^2 integrates to
+    # sqrt(pi/2) (eta^2 - 2 expm1(-delta^2 / 2)), which is O(delta^2 + eta^2)
+    # while each term is O(1).
+    field = BeamField(
+        (BeamComponent(-1.0, 0.01), BeamComponent(1.0 + 1j * eta, 0.01 + delta))
+    )
+    exact = SQRT_HALF_PI * (eta**2 - 2.0 * math.expm1(-(delta**2) / 2.0))
+    assert abs(total_intensity_quadrature(field) - exact) <= 1e-10 * exact
 
 
 @pytest.mark.parametrize("phi", [math.pi / 2, 3 * math.pi / 2])

@@ -1,4 +1,5 @@
 """The validate checks must still catch a wrong table, line or closed form."""
+import numpy as np
 import pytest
 
 from nestedmzi import beam, fock, spectra, validate
@@ -59,3 +60,31 @@ def test_detector_oracles_catch_a_closed_form_off_by_1e8(monkeypatch, name):
     real = getattr(beam, name)
     monkeypatch.setattr(beam, name, lambda coeffs, shifts: real(coeffs, shifts) * (1 + 1e-8))
     assert not validate.check_detector_oracles().passed
+
+
+def scalar_random_fields(rng, count):
+    # One rng.uniform call per value: the draw order validate._random_fields
+    # must reproduce.
+    for _ in range(count):
+        n = rng.integers(1, 4)
+        yield beam.BeamField(
+            tuple(
+                beam.BeamComponent(
+                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    float(rng.uniform(-0.1, 0.1)),
+                )
+                for _ in range(n)
+            )
+        )
+
+
+@pytest.mark.parametrize("seed,count", [(20240824, 1000), (7, 200)])
+def test_random_fields_match_one_draw_per_value(seed, count):
+    fields = list(validate._random_fields(np.random.default_rng(seed), count))
+    assert fields == list(scalar_random_fields(np.random.default_rng(seed), count))
+    # with an offset drawn after each field, as check_translation_invariance does
+    runs = []
+    for make in (validate._random_fields, scalar_random_fields):
+        rng = np.random.default_rng(seed)
+        runs.append([(f, rng.uniform(-0.5, 0.5)) for f in make(rng, count)])
+    assert runs[0] == runs[1]
