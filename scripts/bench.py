@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Write BENCH_N.json: the benchmark's end-to-end metrics and per-layer
-timings of validate, with the machine they were measured on.
+timings, with the machine they were measured on.
 
 Run from a checkout, with the number N of the change being measured, to
 write BENCH_N.json at its root:
@@ -10,10 +10,14 @@ write BENCH_N.json at its root:
 For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
-line. In this process it then times, best of 5, each check of
-``validate.run_all`` and each quadrature oracle per call over the 1000
-fields of ``validate.check_detector_oracles``. It imports nestedmzi from
-``src/`` of the same checkout, with one BLAS thread, as perfbench does.
+line. In this process it then times, best of 5: each check of
+``validate.run_all``; both quadrature oracles over the 1000 fields of
+``validate.check_detector_oracles``, per call of each scalar wrapper and
+per field of each batched form; the beam engine, ``power_spectrum`` and
+``attribute_peaks`` on 1024 and 8192 samples of case a;
+``fock.output_state`` and ``norm_series`` at orders 4 and 12; and
+``spectra.write_artifacts`` of case a. It imports nestedmzi from ``src/``
+of the same checkout, with one BLAS thread, as perfbench does.
 """
 from __future__ import annotations
 
@@ -32,17 +36,22 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from nestedmzi import beam, validate  # noqa: E402
+from nestedmzi import beam, fock, spectra, validate  # noqa: E402
+from nestedmzi.scenario import standard_case  # noqa: E402
 from run import THREAD_ENV, cpu_model, git_commit  # noqa: E402  (perfbench/run.py)
 
 SEED = 1
 BEST_OF = 5
 ORACLE_SEED = 20240824  # the fields of validate.check_detector_oracles
 ORACLE_FIELDS = 1000
+SAMPLE_COUNTS = (1024, 8192)  # samples of case a in one second
+FOCK_ORDERS = (4, 12)
+CALLS = 20  # calls per timed repeat of the layers below validate
 
 
 def run_workload(name: str, seconds: float) -> str:
@@ -72,28 +81,84 @@ def workload_entry(line: str, metric_names) -> dict:
     }
 
 
+def best_time(fn, calls=1) -> float:
+    """Best of BEST_OF repeats of the mean seconds per call of fn()."""
+    best = np.inf
+    for _ in range(BEST_OF):
+        start = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        best = min(best, (time.perf_counter() - start) / calls)
+    return best
+
+
+def oracle_timings() -> dict:
+    """Seconds per field of each oracle: per scalar call and batched."""
+    draws = list(validate._random_fields(np.random.default_rng(ORACLE_SEED), ORACLE_FIELDS))
+    coeffs, shifts = validate._stack_draws(draws)
+    fields = [  # the columns without their zero-coefficient padding
+        beam.BeamField(
+            tuple(beam.BeamComponent(complex(c), float(s)) for c, s in zip(cs, ss) if c != 0)
+        )
+        for cs, ss in zip(coeffs.T, shifts.T)
+    ]
+    per_call = {
+        oracle.__name__: best_time(lambda: [oracle(f) for f in fields]) / len(fields)
+        for oracle in (beam.total_intensity_quadrature, beam.quadcell_signal_quadrature)
+    }
+    batched = {
+        oracle.__name__: best_time(lambda: oracle(coeffs, shifts)) / len(fields)
+        for oracle in (beam.quadrature_intensity, beam.quadrature_quadcell)
+    }
+    return {"oracle_fields": len(fields), "oracle_per_call_s": per_call,
+            "oracle_batched_per_field_s": batched}
+
+
+def sample_layer_timings(samples: int) -> dict:
+    """Seconds per call of each layer of one case-a run of ``samples``."""
+    sc = standard_case("a").with_overrides(sample_rate=float(samples))
+    t = np.arange(samples) / sc.sample_rate
+    coeffs, shifts = beam.path_coefficients(sc), beam.path_shifts(sc, t)
+    ts = spectra.sample_detector(sc, "total", "exact")
+    spec = spectra.power_spectrum(ts)
+    layers = {
+        "beam.path_shifts": lambda: beam.path_shifts(sc, t),
+        "beam.exact_intensity": lambda: beam.exact_intensity(coeffs, shifts),
+        "beam.exact_quadcell": lambda: beam.exact_quadcell(coeffs, shifts),
+        "beam.linearized_intensities": lambda: beam.linearized_intensities(coeffs, shifts),
+        "spectra.power_spectrum": lambda: spectra.power_spectrum(ts),
+        "spectra.attribute_peaks": lambda: spectra.attribute_peaks(spec, sc, "total"),
+    }
+    return {name: best_time(fn, CALLS) for name, fn in layers.items()}
+
+
+def fock_timings(order: int) -> dict:
+    """Seconds per call of the case-a output state and its norm series."""
+    sc = standard_case("a")
+    state = fock.output_state(sc.phi, sc.kappa, order)
+    return {
+        "fock.output_state": best_time(lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS),
+        "fock.norm_series": best_time(lambda: fock.norm_series(state), CALLS),
+    }
+
+
 def layer_timings() -> dict:
-    """Best-of-5 seconds of each validate check and of each oracle per call."""
+    """Best-of-5 seconds of each validate check and of each layer above."""
     checks = {}
     for _ in range(BEST_OF):
         for check, result in zip(validate.ALL_CHECKS, validate.run_all()):
             name = check.__name__
             checks[name] = min(checks.get(name, np.inf), result.seconds)
-    fields = list(validate._random_fields(np.random.default_rng(ORACLE_SEED), ORACLE_FIELDS))
-    oracles = {}
-    for oracle in (beam.total_intensity_quadrature, beam.quadcell_signal_quadrature):
-        best = np.inf
-        for _ in range(BEST_OF):
-            start = time.perf_counter()
-            for field in fields:
-                oracle(field)
-            best = min(best, time.perf_counter() - start)
-        oracles[oracle.__name__] = best / len(fields)
+    run = spectra.run(standard_case("a"), "total", "exact")
+    with tempfile.TemporaryDirectory() as outdir:
+        write_s = best_time(lambda: spectra.write_artifacts(outdir, *run), CALLS)
     return {
         "best_of": BEST_OF,
         "validate_check_s": checks,
-        "oracle_fields": len(fields),
-        "oracle_per_call_s": oracles,
+        **oracle_timings(),
+        "samples_per_call_s": {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS},
+        "fock_per_call_s": {str(k): fock_timings(k) for k in FOCK_ORDERS},
+        "write_artifacts_s": write_s,
     }
 
 

@@ -24,80 +24,78 @@ SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 
 # -- quadrature rules of the oracles -------------------------------------
 #
-# Each rule is built on first use and cached read-only as a (nodes, weights)
-# pair, so an oracle call is one weighted sum of |Psi|^2 over the nodes. The
-# trapezoid rule is also cached in rows, the form its oracle evaluates.
+# |Psi|^2 is a sum of constants times exp(-2 (y - c)^2), an entire function,
+# so both rules converge exponentially: by Poisson summation the trapezoid
+# rule of step h errs on each term by about 2 exp(-pi^2 / (2 h^2)) of its
+# integral (Trefethen & Weideman, SIAM Rev. 56 (2014) 385-458), 1e-34 at
+# h = 0.25, and Gauss-Legendre on each half-line converges as fast. Each
+# rule is built on first use and cached read-only as a (nodes, weights) pair.
 
 
 @functools.cache
 def _trapezoid_rule() -> tuple:
-    """16001-point trapezoid rule (step 1e-3) on [-8, 8].
-
-    Each interval d of np.diff(y) puts d/2 on both of its ends: the rule of
-    np.trapezoid(f, y), summed in a different order.
-    """
-    y = np.linspace(-8.0, 8.0, 16001)
-    half = np.diff(y) / 2.0
-    w = np.zeros(len(y))
-    w[:-1] += half
-    w[1:] += half
+    """65-node trapezoid rule (step 0.25) on [-8, 8]."""
+    y = np.linspace(-8.0, 8.0, 65)
+    w = np.full(65, 0.25)
+    w[[0, -1]] = 0.125
     y.flags.writeable = w.flags.writeable = False
     return y, w
-
-
-_ROW = 128  # nodes per row of the factored trapezoid rule
-
-
-@functools.cache
-def _trapezoid_rows() -> tuple:
-    """_trapezoid_rule() in rows of 128 nodes, y = Y_b + u_m, for the
-    addition theorem
-
-        exp(-(y - s)^2) = exp(-(Y_b - s)^2) exp(2 s u_m) T_bm,
-        T_bm = exp(-u_m (2 Y_b + u_m)),
-
-    whose last factor does not depend on s. Returns (Y, u, v): the 126 row
-    starts Y_b = y[128 b], the 128 offsets u_m = y[m] - y[0], and
-    v = w T^2 as 126 x 128 weights placed twice side by side, shape
-    (126, 256), one copy for each of Re Psi / T and Im Psi / T. The 127
-    slots past the last node have weight 0.
-    """
-    y, w = _trapezoid_rule()
-    rows = -(-len(y) // _ROW)
-    start, offset = y[::_ROW], y[:_ROW] - y[0]
-    weights = np.zeros(rows * _ROW)
-    weights[: len(w)] = w
-    v = weights.reshape(rows, _ROW) * np.exp(
-        -2.0 * offset * (2.0 * start[:, np.newaxis] + offset)
-    )
-    v = np.concatenate([v, v], axis=1)
-    start.flags.writeable = offset.flags.writeable = v.flags.writeable = False
-    return start, offset, v
 
 
 @functools.cache
 def _half_line_rule() -> tuple:
     """Gauss-Legendre rule for int_0^8 f - int_-8^0 f.
 
-    The 400-point rule mapped to [0, 8], followed by its mirror image on
+    The 60-node rule mapped to [0, 8], followed by its mirror image on
     [-8, 0] with negated weights.
     """
-    x, w = np.polynomial.legendre.leggauss(400)
+    x, w = np.polynomial.legendre.leggauss(60)
     y = 4.0 * (x + 1.0)  # [-1, 1] -> [0, 8]
     y, w = np.concatenate([y, -y]), np.concatenate([4.0 * w, -4.0 * w])
     y.flags.writeable = w.flags.writeable = False
     return y, w
 
 
-def _rule_intensity(coeffs, gaussians, w) -> float:
-    """sum_n w_n |Psi(y_n)|^2 of Psi = coeffs @ gaussians.
+_CHUNK = 250  # fields per block of Gaussians, about 0.7 MB at 3 x 120 nodes
 
-    The real and imaginary parts of Psi are the two rows of one real
-    product; no complex array is formed.
+
+def _rule_sum(coeffs, shifts, rule) -> np.ndarray:
+    """sum_n w_n |Psi(y_n)|^2 for each of F fields, shape (F,).
+
+    ``coeffs`` and ``shifts`` have shape (P, F), as from stack_fields. The
+    Gaussians exp(-(y_n - s_pf)^2) of every component on every node are
+    evaluated for _CHUNK fields at a time; the real and imaginary parts of
+    Psi are summed over components, squared and weighted.
     """
-    parts = np.array([coeffs.real, coeffs.imag]) @ gaussians
-    parts *= parts
-    return float(np.sum(parts @ w))
+    y, w = rule
+    out = np.empty(np.shape(coeffs)[1])
+    for i in range(0, len(out), _CHUNK):
+        block = np.subtract.outer(shifts[:, i:i + _CHUNK], y)
+        np.square(block, out=block)
+        np.negative(block, out=block)
+        np.exp(block, out=block)
+        re = np.einsum("pf,pfn->fn", coeffs.real[:, i:i + _CHUNK], block)
+        im = np.einsum("pf,pfn->fn", coeffs.imag[:, i:i + _CHUNK], block)
+        re *= re
+        im *= im
+        re += im
+        re *= w
+        out[i:i + _CHUNK] = re.sum(axis=1)
+    return out
+
+
+def quadrature_intensity(coeffs, shifts) -> np.ndarray:
+    """Trapezoid oracle for exact_intensity over (P, F) stacked fields."""
+    return _rule_sum(coeffs, shifts, _trapezoid_rule())
+
+
+def quadrature_quadcell(coeffs, shifts) -> np.ndarray:
+    """Gauss-Legendre oracle for exact_quadcell over (P, F) stacked fields.
+
+    A rule on each half-line is used instead of the trapezoid because the
+    integrand is truncated at y = 0, where its derivatives do not vanish.
+    """
+    return _rule_sum(coeffs, shifts, _half_line_rule())
 
 
 @dataclass(frozen=True)
@@ -118,16 +116,6 @@ class BeamField:
             np.array([c.coeff for c in self.components], dtype=complex),
             np.array([c.shift for c in self.components], dtype=float),
         )
-
-
-def _gaussian_block(field: BeamField, y) -> tuple:
-    """(coeffs, gaussians) of a field at y: coeffs of shape (P,) and
-    exp(-(y - shift_p)^2) of shape (P,) + shape(y), one real block."""
-    coeffs, shifts = field.arrays()
-    block = np.subtract.outer(shifts, y)
-    np.square(block, out=block)
-    np.negative(block, out=block)
-    return coeffs, np.exp(block, out=block)
 
 
 def mirror_shifts(scenario: Scenario, t) -> dict:
@@ -368,29 +356,8 @@ def total_intensity(field: BeamField) -> float:
 
 
 def total_intensity_quadrature(field: BeamField) -> float:
-    """Trapezoid oracle for total_intensity: 16001 points, step 1e-3, on [-8, 8].
-
-    |Psi|^2 is the square of the field evaluated term by term on every node.
-    Each Gaussian is factored by the addition theorem of _trapezoid_rows, so
-    a component costs 126 + 128 exp calls, and Psi / T on all nodes is one
-    (126, P) @ (P, 256) product; v carries T^2 and the weights. Shifts are
-    clipped to +-36: from |s| = 36 on, every node's Gaussian is exactly 0
-    either way (|y - s| >= 28), and exp(2 s u_m) cannot overflow.
-    """
-    start, offset, v = _trapezoid_rows()
-    coeffs, shifts = field.arrays()
-    s = np.clip(shifts, -36.0, 36.0)
-    rows = np.subtract.outer(start, s)
-    np.square(rows, out=rows)
-    np.negative(rows, out=rows)
-    np.exp(rows, out=rows)
-    cols = np.multiply.outer(s + s, offset)
-    np.exp(cols, out=cols)
-    # (P, 2, 128): Re(c_p) and Im(c_p) times exp(2 s_p u), side by side
-    right = coeffs.view(float).reshape(-1, 2, 1) * cols[:, np.newaxis]
-    parts = rows @ right.reshape(len(s), 2 * _ROW)
-    parts *= parts
-    return float(np.vdot(parts, v))
+    """Trapezoid oracle for total_intensity (see quadrature_intensity)."""
+    return float(quadrature_intensity(*stack_fields([field]))[0])
 
 
 def quadcell_signal(field: BeamField) -> float:
@@ -399,10 +366,5 @@ def quadcell_signal(field: BeamField) -> float:
 
 
 def quadcell_signal_quadrature(field: BeamField) -> float:
-    """Gauss-Legendre oracle for quadcell_signal, 400 nodes per half of [-8, 8].
-
-    A fixed high-order rule is used instead of the trapezoid because the
-    integrand is truncated at y = 0 where its derivatives do not vanish.
-    """
-    y, w = _half_line_rule()
-    return _rule_intensity(*_gaussian_block(field, y), w)
+    """Gauss-Legendre oracle for quadcell_signal (see quadrature_quadcell)."""
+    return float(quadrature_quadcell(*stack_fields([field]))[0])

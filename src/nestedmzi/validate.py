@@ -110,46 +110,50 @@ def check_transcription():
 
 
 def _random_fields(rng, count):
-    """1-3 components per field: coeff re, im uniform on [-1, 1), shift on
-    [-0.1, 0.1). One draw of (n, 3) per field takes the same numbers from
-    rng, in the same order, as rng.uniform per value."""
+    """One (n, 3) draw per field of 1-3 components, rows (coeff re, coeff
+    im, shift): re and im uniform on [-1, 1), shift on [-0.1, 0.1). It takes
+    the same numbers from rng, in the same order, as rng.uniform per value."""
     low, span = np.array([-1.0, -1.0, -0.1]), np.array([2.0, 2.0, 0.2])
     for _ in range(count):
-        n = rng.integers(1, 4)
-        draws = low + span * rng.random((n, 3))
-        yield beam.BeamField(
-            tuple(
-                beam.BeamComponent(complex(re, im), s) for re, im, s in draws.tolist()
-            )
-        )
+        yield low + span * rng.random((rng.integers(1, 4), 3))
+
+
+def _stack_draws(draws) -> tuple:
+    """(coeffs, shifts) of shape (P, F) from F draws of _random_fields,
+    padded with zero coefficients as beam.stack_fields pads."""
+    sizes = np.array([len(d) for d in draws])
+    rows = np.concatenate(draws)
+    field = np.repeat(np.arange(len(draws)), sizes)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coeffs = np.zeros((sizes.max(), len(draws)), dtype=complex)
+    shifts = np.zeros(coeffs.shape)
+    coeffs.real[slot, field], coeffs.imag[slot, field], shifts[slot, field] = rows.T
+    return coeffs, shifts
 
 
 def check_detector_oracles():
-    fields = list(_random_fields(np.random.default_rng(20240824), 1000))
-    coeffs, shifts = beam.stack_fields(fields)
+    rng = np.random.default_rng(20240824)
+    coeffs, shifts = _stack_draws(list(_random_fields(rng, 1000)))
     totals = beam.exact_intensity(coeffs, shifts)
     quads = beam.exact_quadcell(coeffs, shifts)
-    worst_t = worst_q = 0.0
-    for field, it, dq in zip(fields, totals, quads):
-        itq = beam.total_intensity_quadrature(field)
-        worst_t = max(worst_t, abs(it - itq) / max(abs(itq), 1e-30))
-        dqq = beam.quadcell_signal_quadrature(field)
-        scale = max(abs(dqq), it)
-        worst_q = max(worst_q, abs(dq - dqq) / scale)
+    want_t = beam.quadrature_intensity(coeffs, shifts)
+    want_q = beam.quadrature_quadcell(coeffs, shifts)
+    worst_t = np.max(np.abs(totals - want_t) / np.maximum(np.abs(want_t), 1e-30))
+    worst_q = np.max(np.abs(quads - want_q) / np.maximum(np.abs(want_q), totals))
     return _result(
         "closed-form detectors agree with quadrature oracles",
         worst_t < 1e-9 and worst_q < 1e-9,
-        f"total rel err {worst_t:.2e}, quad rel err {worst_q:.2e} over {len(fields)} fields",
+        f"total rel err {worst_t:.2e}, quad rel err {worst_q:.2e} over {len(totals)} fields",
     )
 
 
 def check_translation_invariance():
     rng = np.random.default_rng(7)
-    fields, offsets = [], []
-    for field in _random_fields(rng, 200):
-        fields.append(field)
+    draws, offsets = [], []
+    for draw in _random_fields(rng, 200):
+        draws.append(draw)
         offsets.append(float(rng.uniform(-0.5, 0.5)))
-    coeffs, shifts = beam.stack_fields(fields)
+    coeffs, shifts = _stack_draws(draws)
     moved = shifts + np.array(offsets)
     drift = beam.exact_intensity(coeffs, shifts) - beam.exact_intensity(coeffs, moved)
     worst = float(np.max(np.abs(drift)))

@@ -56,3 +56,42 @@ def test_a_run_line_without_a_metric_is_refused():
     assert bench.workload_entry(run_line(failed=2), METRICS)["failed"] == 2
     with pytest.raises(ValueError, match="ops_per_s"):
         bench.workload_entry(run_line([m for m in METRICS if m != "ops_per_s"]), METRICS)
+
+
+def test_layer_timings_cover_every_layer(monkeypatch):
+    bench = load_bench()
+    monkeypatch.setattr(bench, "BEST_OF", 1)
+    monkeypatch.setattr(bench, "CALLS", 1)
+    layers = json.loads(json.dumps(bench.layer_timings()))
+    assert set(layers) == {
+        "best_of", "validate_check_s", "oracle_fields", "oracle_per_call_s",
+        "oracle_batched_per_field_s", "samples_per_call_s", "fock_per_call_s",
+        "write_artifacts_s",
+    }
+    assert layers["best_of"] == 1 and layers["oracle_fields"] == 1000
+    assert list(layers["validate_check_s"]) == [c.__name__ for c in bench.validate.ALL_CHECKS]
+    assert set(layers["oracle_per_call_s"]) == {
+        "total_intensity_quadrature", "quadcell_signal_quadrature"
+    }
+    assert set(layers["oracle_batched_per_field_s"]) == {
+        "quadrature_intensity", "quadrature_quadcell"
+    }
+    assert set(layers["samples_per_call_s"]) == {"1024", "8192"}
+    for per_call in layers["samples_per_call_s"].values():
+        assert set(per_call) == {
+            "beam.path_shifts", "beam.exact_intensity", "beam.exact_quadcell",
+            "beam.linearized_intensities", "spectra.power_spectrum",
+            "spectra.attribute_peaks",
+        }
+    assert set(layers["fock_per_call_s"]) == {"4", "12"}
+    for per_call in layers["fock_per_call_s"].values():
+        assert set(per_call) == {"fock.output_state", "fock.norm_series"}
+    times = [
+        layers["write_artifacts_s"],
+        *layers["validate_check_s"].values(),
+        *layers["oracle_per_call_s"].values(),
+        *layers["oracle_batched_per_field_s"].values(),
+        *(t for d in layers["samples_per_call_s"].values() for t in d.values()),
+        *(t for d in layers["fock_per_call_s"].values() for t in d.values()),
+    ]
+    assert all(t > 0 for t in times)

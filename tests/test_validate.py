@@ -78,13 +78,23 @@ def scalar_random_fields(rng, count):
         )
 
 
+def draw_field(draw):
+    return beam.BeamField(
+        tuple(beam.BeamComponent(complex(re, im), s) for re, im, s in draw.tolist())
+    )
+
+
 @pytest.mark.parametrize("seed,count", [(20240824, 1000), (7, 200)])
 def test_random_fields_match_one_draw_per_value(seed, count):
-    fields = list(validate._random_fields(np.random.default_rng(seed), count))
-    assert fields == list(scalar_random_fields(np.random.default_rng(seed), count))
+    draws = list(validate._random_fields(np.random.default_rng(seed), count))
+    want = list(scalar_random_fields(np.random.default_rng(seed), count))
+    assert [draw_field(d) for d in draws] == want
+    # the scattered (P, F) arrays are those of beam.stack_fields
+    for got, expected in zip(validate._stack_draws(draws), beam.stack_fields(want)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
     # with an offset drawn after each field, as check_translation_invariance does
-    runs = []
-    for make in (validate._random_fields, scalar_random_fields):
-        rng = np.random.default_rng(seed)
-        runs.append([(f, rng.uniform(-0.5, 0.5)) for f in make(rng, count)])
+    rng = np.random.default_rng(seed)
+    runs = [[(draw_field(d), rng.uniform(-0.5, 0.5)) for d in validate._random_fields(rng, count)]]
+    rng = np.random.default_rng(seed)
+    runs.append([(f, rng.uniform(-0.5, 0.5)) for f in scalar_random_fields(rng, count)])
     assert runs[0] == runs[1]
