@@ -62,26 +62,30 @@ _CHUNK = 250  # fields per block of Gaussians, about 0.7 MB at 3 x 120 nodes
 def _rule_sum(coeffs, shifts, rule) -> np.ndarray:
     """sum_n w_n |Psi(y_n)|^2 for each of F fields, shape (F,).
 
-    ``coeffs`` and ``shifts`` have shape (P, F), as from stack_fields. The
-    Gaussians exp(-(y_n - s_pf)^2) of every component on every node are
-    evaluated for _CHUNK fields at a time; the real and imaginary parts of
-    Psi are summed over components, squared and weighted.
+    ``coeffs`` and ``shifts`` have shape (P, F), as from stack_fields, and
+    are evaluated _CHUNK fields at a time.
     """
-    y, w = rule
     out = np.empty(np.shape(coeffs)[1])
     for i in range(0, len(out), _CHUNK):
-        block = np.subtract.outer(shifts[:, i:i + _CHUNK], y)
-        np.square(block, out=block)
-        np.negative(block, out=block)
-        np.exp(block, out=block)
-        re = np.einsum("pf,pfn->fn", coeffs.real[:, i:i + _CHUNK], block)
-        im = np.einsum("pf,pfn->fn", coeffs.imag[:, i:i + _CHUNK], block)
-        re *= re
-        im *= im
-        re += im
-        re *= w
-        out[i:i + _CHUNK] = re.sum(axis=1)
+        out[i:i + _CHUNK] = _chunk_sum(coeffs[:, i:i + _CHUNK], shifts[:, i:i + _CHUNK], *rule)
     return out
+
+
+def _chunk_sum(coeffs, shifts, y, w) -> np.ndarray:
+    """_rule_sum of one chunk: the Gaussians exp(-(y_n - s_pf)^2) of every
+    component on every node, summed over components into the real and
+    imaginary parts of Psi, squared and weighted."""
+    block = np.subtract.outer(shifts, y)
+    np.square(block, out=block)
+    np.negative(block, out=block)
+    np.exp(block, out=block)
+    re = np.einsum("pf,pfn->fn", coeffs.real, block)
+    im = np.einsum("pf,pfn->fn", coeffs.imag, block)
+    re *= re
+    im *= im
+    re += im
+    re *= w
+    return re.sum(axis=1)
 
 
 def quadrature_intensity(coeffs, shifts) -> np.ndarray:
