@@ -100,9 +100,8 @@ def sample_detector(
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}")
     n = int(round(scenario.sample_rate * scenario.duration))
-    t = np.arange(n) / scenario.sample_rate
     coeffs = beam.path_coefficients(scenario)
-    shifts = beam.path_shifts(scenario, t)
+    shifts = beam.path_shifts(scenario, np.arange(n) / scenario.sample_rate)
     if model == "exact":
         engine = beam.exact_intensity if detector == "total" else beam.exact_quadcell
         out = engine(coeffs, shifts)

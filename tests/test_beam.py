@@ -55,6 +55,27 @@ def test_mirror_shifts_bounds_and_zero_start():
             assert abs(d[m]) <= sc.vib_amplitude[m] + 1e-15
 
 
+def test_shifts_equal_one_sin_pass_per_mirror():
+    # The plain form, amplitude * sin(2 pi f t) per mirror stacked and summed
+    # along the paths, against the in-place rows: equal bit for bit, also
+    # with mirrors at rest and at a scalar time.
+    rng = np.random.default_rng(3)
+    for case in "abc":
+        for rest in ((), ("C",), ("A", "B")):
+            sc = standard_case(case).with_overrides(
+                vib_amplitude={m: 0.0 if m in rest else rng.uniform(0.001, 0.05) for m in MIRRORS}
+            )
+            for t in (np.arange(3072) / 1024.0, 0.377):
+                plain = {
+                    m: sc.vib_amplitude[m] * np.sin(2.0 * math.pi * sc.mirror_freq[m] * t)
+                    for m in MIRRORS
+                }
+                d = mirror_shifts(sc, t)
+                assert all(np.array_equal(d[m], plain[m]) for m in MIRRORS)
+                want = beam.INCIDENCE @ np.array([plain[m] for m in MIRRORS])
+                assert np.array_equal(path_shifts(sc, t), want)
+
+
 def test_case_c_field_two_components():
     field = field_at(standard_case("c"), 0.123)
     assert len(field.components) == 2

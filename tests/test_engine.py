@@ -204,6 +204,51 @@ def test_second_order_array_form_matches_the_per_time_loop(case):
     assert np.max(np.abs(got - want)) <= TOL
 
 
+def plain_pair_sum(coeffs, shifts, kernel):
+    """The pair sum with every term a fresh array, summed in the same order."""
+    rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
+    conj_sum = np.conj(sum(coeffs[j] for j in rows))
+    diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
+    total = sum(
+        (diag[j] * (coeffs[j] * conj_sum).real for j in rows), beam._zeros(coeffs, shifts)
+    )
+    for i, j in enumerate(rows):
+        for k in rows[i + 1:]:
+            weight = (coeffs[j] * np.conj(coeffs[k])).real
+            total += weight * (2.0 * kernel(shifts[j], shifts[k]) - diag[j] - diag[k])
+    return beam.SQRT_HALF_PI * total
+
+
+PLAIN_KERNELS = {
+    "exact_intensity": lambda a, b: np.exp(-((a - b) ** 2) / 2.0),
+    "exact_quadcell": lambda a, b: (
+        np.exp(-((a - b) ** 2) / 2.0) * beam.erf((a + b) / math.sqrt(2.0))
+    ),
+    "second_order_intensities": lambda a, b: 1.0 - ((a - b) ** 2) / 2.0,
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_KERNELS)
+def test_engine_equals_the_plain_pair_sum_bit_for_bit(name):
+    # The engine forms and adds its terms in place; the values must not move.
+    rng = np.random.default_rng(9)
+    fields = [
+        BeamField(tuple(
+            BeamComponent(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(-0.1, 0.1)))
+            for _ in range(size)
+        ))
+        for size in rng.integers(1, 4, 200)
+    ]
+    inputs = [beam.stack_fields(fields), fields[0].arrays()]
+    for case in "abc":
+        sc = standard_case(case)
+        inputs.append((beam.path_coefficients(sc), beam.path_shifts(sc, np.arange(1024) / 1024.0)))
+    for coeffs, shifts in inputs:
+        got = getattr(beam, name)(coeffs, shifts)
+        want = plain_pair_sum(coeffs, shifts, PLAIN_KERNELS[name])
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 # -- erf kernel ------------------------------------------------------------
 
 # Band edges of the fdlibm erf; the kernel switches formulas at each.
