@@ -261,10 +261,13 @@ def _pair_sum(coeffs, shifts, kernel):
     of O(1) terms. Zero-coefficient rows are skipped. Terms are formed and
     added in place, in the order of the formula.
     """
+    total = _zeros(coeffs, shifts)
+    # each row of shifts takes the shape of total, and so does every kernel
+    # value, which can then be scaled in place
+    shifts = [np.broadcast_to(row, total.shape) for row in shifts]
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
     diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
-    total = _zeros(coeffs, shifts)
     for j in rows:
         total += diag[j] * (coeffs[j] * conj_sum).real
     for i, j in enumerate(rows):

@@ -239,7 +239,8 @@ def test_engine_equals_the_plain_pair_sum_bit_for_bit(name):
         ))
         for size in rng.integers(1, 4, 200)
     ]
-    inputs = [beam.stack_fields(fields), fields[0].arrays()]
+    # (P, N) coefficients with (P,) shifts too, the other documented pairing
+    inputs = [beam.stack_fields(fields), fields[0].arrays(), (beam.stack_fields(fields)[0], rng.uniform(-0.1, 0.1, 3))]
     for case in "abc":
         sc = standard_case(case)
         inputs.append((beam.path_coefficients(sc), beam.path_shifts(sc, np.arange(1024) / 1024.0)))
