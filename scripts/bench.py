@@ -125,6 +125,7 @@ def sample_layer_timings(samples: int) -> dict:
         "beam.path_shifts": lambda: beam.path_shifts(sc, t),
         "beam.exact_intensity": lambda: beam.exact_intensity(coeffs, shifts),
         "beam.exact_quadcell": lambda: beam.exact_quadcell(coeffs, shifts),
+        "beam.second_order_intensities": lambda: beam.second_order_intensities(coeffs, shifts),
         "beam.linearized_intensities": lambda: beam.linearized_intensities(coeffs, shifts),
         "spectra.power_spectrum": lambda: spectra.power_spectrum(ts),
         "spectra.attribute_peaks": lambda: spectra.attribute_peaks(spec, sc, "total"),

@@ -114,13 +114,6 @@ class BeamComponent:
 class BeamField:
     components: tuple
 
-    def arrays(self) -> tuple:
-        """(coeffs, shifts) of shape (P,), the array engine's input."""
-        return (
-            np.array([c.coeff for c in self.components], dtype=complex),
-            np.array([c.shift for c in self.components], dtype=float),
-        )
-
 
 def mirror_shifts(scenario: Scenario, t) -> dict:
     """d_i(t) = amplitude_i * sin(2 pi f_i t) for every mirror.
@@ -252,45 +245,41 @@ def _zeros(coeffs, shifts):
     return np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
 
 
-def _pair_sum(coeffs, shifts, kernel):
-    """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K.
+def _pair_sum(coeffs, shifts, diag, excess):
+    """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K, given
+    as its diagonal D(s) = K(s, s) and excess E(a, b, D_a, D_b) = 2 K(a, b) - D_a - D_b.
 
-    Summed as sum_j K_jj Re(c_j conj(S)) + sum_{j<k} Re(c_j conj(c_k))
-    (2 K_jk - K_jj - K_kk) with S = sum_j c_j, so two paths of equal shift
-    add exactly 0 and nearly cancelling paths leave |S|^2, not a difference
-    of O(1) terms. Zero-coefficient rows are skipped. Terms are formed and
-    added in place, in the order of the formula.
+    Summed as sum_j D_j Re(c_j conj(S)) + sum_{j<k} Re(c_j conj(c_k)) E_jk with
+    S = sum_j c_j, so nearly cancelling paths leave |S|^2 plus excesses that
+    each kernel forms without cancellation. Zero-coefficient rows are skipped.
+    Terms are formed and added in place, in the order of the formula.
     """
     total = _zeros(coeffs, shifts)
-    # each row of shifts takes the shape of total, and so does every kernel
-    # value, which can then be scaled in place
+    # each row of shifts, and so each excess, takes the shape of total
     shifts = [np.broadcast_to(row, total.shape) for row in shifts]
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
-    diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
+    diags = {j: diag(shifts[j]) for j in rows}
     for j in rows:
-        total += diag[j] * (coeffs[j] * conj_sum).real
+        total += diags[j] * (coeffs[j] * conj_sum).real
     for i, j in enumerate(rows):
         for k in rows[i + 1:]:
-            term = np.asarray(kernel(shifts[j], shifts[k]))
-            term *= 2.0
-            term -= diag[j]
-            term -= diag[k]
+            term = excess(shifts[j], shifts[k], diags[j], diags[k])
             term *= (coeffs[j] * np.conj(coeffs[k])).real
             total += term
     return total
 
 
-def _overlap(a, b):
-    return np.exp(-((a - b) ** 2) / 2.0)
-
-
 def exact_intensity(coeffs, shifts):
     """I_T = integral |Psi|^2 dy of Psi = sum_j c_j exp(-(y - s_j)^2).
 
-    integral exp(-(y-a)^2) exp(-(y-b)^2) dy = sqrt(pi/2) exp(-(a-b)^2/2).
+    integral exp(-(y-a)^2) exp(-(y-b)^2) dy = sqrt(pi/2) exp(-(a-b)^2/2),
+    a pair sum of diagonal 1 and excess 2 expm1(-(a-b)^2/2).
     """
-    return SQRT_HALF_PI * _pair_sum(coeffs, shifts, _overlap)
+    return SQRT_HALF_PI * _pair_sum(
+        coeffs, shifts, lambda s: 1.0,
+        lambda a, b, da, db: 2.0 * np.expm1(-((a - b) ** 2) / 2.0),
+    )
 
 
 def exact_quadcell(coeffs, shifts):
@@ -299,12 +288,17 @@ def exact_quadcell(coeffs, shifts):
     Each Gaussian pair contributes
     sqrt(pi/2) * exp(-(a-b)^2/2) * erf((a+b)/sqrt(2)).
     """
-    return SQRT_HALF_PI * _pair_sum(coeffs, shifts, _quadcell_kernel)
+    return SQRT_HALF_PI * _pair_sum(
+        coeffs, shifts, lambda s: erf((s + s) / math.sqrt(2.0)), _quadcell_excess
+    )
 
 
-def _quadcell_kernel(a, b):
+def _quadcell_excess(a, b, da, db):
     out = erf((a + b) / math.sqrt(2.0))
-    out *= _overlap(a, b)
+    out *= np.exp(-((a - b) ** 2) / 2.0)
+    out *= 2.0
+    out -= da
+    out -= db
     return out
 
 
@@ -312,10 +306,11 @@ def second_order_intensities(coeffs, shifts):
     """Taylor expansion of exact_intensity through second order in shifts.
 
     I_T / sqrt(pi/2) = sum_j |c_j|^2
-                     + sum_{j != k} Re(c_j conj(c_k)) (1 - (s_j - s_k)^2 / 2).
+                     + sum_{j != k} Re(c_j conj(c_k)) (1 - (s_j - s_k)^2 / 2),
+    a pair sum of diagonal 1 and excess -(s_j - s_k)^2.
     """
     return SQRT_HALF_PI * _pair_sum(
-        coeffs, shifts, lambda a, b: 1.0 - ((a - b) ** 2) / 2.0
+        coeffs, shifts, lambda s: 1.0, lambda a, b, da, db: -((a - b) ** 2)
     )
 
 
@@ -381,7 +376,7 @@ def field_at(scenario: Scenario, t: float) -> BeamField:
 
 def total_intensity(field: BeamField) -> float:
     """I_T = integral |Psi|^2 dy, in closed form (see exact_intensity)."""
-    return float(exact_intensity(*field.arrays()))
+    return float(exact_intensity(*stack_fields([field]))[0])
 
 
 def total_intensity_quadrature(field: BeamField) -> float:
@@ -391,7 +386,7 @@ def total_intensity_quadrature(field: BeamField) -> float:
 
 def quadcell_signal(field: BeamField) -> float:
     """Quad-cell difference, in closed form (see exact_quadcell)."""
-    return float(exact_quadcell(*field.arrays()))
+    return float(exact_quadcell(*stack_fields([field]))[0])
 
 
 def quadcell_signal_quadrature(field: BeamField) -> float:

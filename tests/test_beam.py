@@ -557,8 +557,23 @@ def test_nearly_cancelling_pair_matches_its_exact_value(eta, delta):
     field = BeamField(
         (BeamComponent(-1.0, 0.01), BeamComponent(1.0 + 1j * eta, 0.01 + delta))
     )
+    delta = (0.01 + delta) - 0.01  # the shift difference as stored, exactly
     exact = SQRT_HALF_PI * (eta**2 - 2.0 * math.expm1(-(delta**2) / 2.0))
     assert abs(total_intensity_quadrature(field) - exact) <= 1e-10 * exact
+    assert abs(total_intensity(field) - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 3e-4])
+def test_case_c_total_intensity_is_the_pair_excess(eps):
+    # Blocked arm: coefficients -1 and +1 sum to S = 0, so I_T is the lone
+    # pair term sqrt(pi/2) * (-1) * 2 expm1(-(s_A - s_B)^2 / 2), exactly.
+    sc = scaled_case("c", eps)
+    coeffs, shifts = path_arrays(sc, np.arange(1024) / 1024.0)
+    assert coeffs.sum() == 0.0
+    want = -2.0 * SQRT_HALF_PI * np.expm1(-((shifts[1] - shifts[2]) ** 2) / 2.0)
+    got = beam.exact_intensity(coeffs, shifts)
+    assert np.count_nonzero(want) > 1000
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
 @pytest.mark.parametrize("phi", [math.pi / 2, 3 * math.pi / 2])

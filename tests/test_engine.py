@@ -149,7 +149,7 @@ def test_padded_fields_match_unpadded_scalar_calls():
     for k, field in enumerate(fields):
         assert abs(totals[k] - beam.total_intensity(field)) <= TOL
         assert abs(quads[k] - beam.quadcell_signal(field)) <= TOL
-        want_i, want_di = beam.linearized_intensities(*field.arrays())
+        want_i, want_di = beam.linearized_intensities(*beam.stack_fields([field]))
         assert abs(i_lin[k] - want_i) <= TOL
         assert abs(di_lin[k] - want_di) <= TOL
 
@@ -204,27 +204,36 @@ def test_second_order_array_form_matches_the_per_time_loop(case):
     assert np.max(np.abs(got - want)) <= TOL
 
 
-def plain_pair_sum(coeffs, shifts, kernel):
+def plain_pair_sum(coeffs, shifts, diag, excess):
     """The pair sum with every term a fresh array, summed in the same order."""
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
-    diag = {j: kernel(shifts[j], shifts[j]) for j in rows}
+    diags = {j: diag(shifts[j]) for j in rows}
     total = sum(
-        (diag[j] * (coeffs[j] * conj_sum).real for j in rows), beam._zeros(coeffs, shifts)
+        (diags[j] * (coeffs[j] * conj_sum).real for j in rows), beam._zeros(coeffs, shifts)
     )
     for i, j in enumerate(rows):
         for k in rows[i + 1:]:
             weight = (coeffs[j] * np.conj(coeffs[k])).real
-            total += weight * (2.0 * kernel(shifts[j], shifts[k]) - diag[j] - diag[k])
+            total += weight * excess(shifts[j], shifts[k], diags[j], diags[k])
     return beam.SQRT_HALF_PI * total
 
 
+# (diagonal, excess) of each kernel. The total and second-order excesses are
+# the cancellation-free forms; the quad cell keeps 2 K_ab - D_a - D_b.
 PLAIN_KERNELS = {
-    "exact_intensity": lambda a, b: np.exp(-((a - b) ** 2) / 2.0),
-    "exact_quadcell": lambda a, b: (
-        np.exp(-((a - b) ** 2) / 2.0) * beam.erf((a + b) / math.sqrt(2.0))
+    "exact_intensity": (
+        lambda s: 1.0,
+        lambda a, b, da, db: 2.0 * np.expm1(-((a - b) ** 2) / 2.0),
     ),
-    "second_order_intensities": lambda a, b: 1.0 - ((a - b) ** 2) / 2.0,
+    "exact_quadcell": (
+        lambda s: beam.erf((s + s) / math.sqrt(2.0)),
+        lambda a, b, da, db: (
+            2.0 * (np.exp(-((a - b) ** 2) / 2.0) * beam.erf((a + b) / math.sqrt(2.0)))
+            - da - db
+        ),
+    ),
+    "second_order_intensities": (lambda s: 1.0, lambda a, b, da, db: -((a - b) ** 2)),
 }
 
 
@@ -239,14 +248,18 @@ def test_engine_equals_the_plain_pair_sum_bit_for_bit(name):
         ))
         for size in rng.integers(1, 4, 200)
     ]
-    # (P, N) coefficients with (P,) shifts too, the other documented pairing
-    inputs = [beam.stack_fields(fields), fields[0].arrays(), (beam.stack_fields(fields)[0], rng.uniform(-0.1, 0.1, 3))]
+    coeffs, shifts = beam.stack_fields(fields)
+    inputs = [
+        (coeffs, shifts),
+        (coeffs[:, 0], shifts[:, 0]),  # one field: (P,) coefficients and shifts
+        (coeffs, rng.uniform(-0.1, 0.1, 3)),  # (P, N) coefficients with (P,) shifts
+    ]
     for case in "abc":
         sc = standard_case(case)
         inputs.append((beam.path_coefficients(sc), beam.path_shifts(sc, np.arange(1024) / 1024.0)))
     for coeffs, shifts in inputs:
         got = getattr(beam, name)(coeffs, shifts)
-        want = plain_pair_sum(coeffs, shifts, PLAIN_KERNELS[name])
+        want = plain_pair_sum(coeffs, shifts, *PLAIN_KERNELS[name])
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
