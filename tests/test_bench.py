@@ -81,8 +81,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         assert set(per_call) == {
             "beam.path_shifts", "beam.exact_intensity", "beam.exact_quadcell",
             "beam.second_order_intensities", "beam.linearized_intensities",
-            "spectra.power_spectrum",
-            "spectra.attribute_peaks",
+            "spectra.power_spectrum", "spectra.attribute_peaks",
         }
     assert set(layers["fock_per_call_s"]) == {"4", "12"}
     for per_call in layers["fock_per_call_s"].values():
