@@ -12,8 +12,8 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
 line. In this process it then times, best of 5: each check of
 ``validate.run_all``; both quadrature oracles over the 1000 fields of
-``validate.check_detector_oracles``, per call of each scalar wrapper and
-per field of each batched form; the beam engine, ``power_spectrum`` and
+the oracle check (``validate.oracle_fields``), per call of each scalar
+wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
 ``fock.output_state`` and ``norm_series`` at orders 4 and 12; and
 ``spectra.write_artifacts`` of case a. It imports nestedmzi from ``src/``
@@ -47,8 +47,6 @@ from run import THREAD_ENV, cpu_model, git_commit  # noqa: E402  (perfbench/run.
 
 SEED = 1
 BEST_OF = 5
-ORACLE_SEED = 20240824  # the fields of validate.check_detector_oracles
-ORACLE_FIELDS = 1000
 SAMPLE_COUNTS = (1024, 8192)  # samples of case a in one second
 FOCK_ORDERS = (4, 12)
 CALLS = 20  # calls per timed repeat of the layers below validate
@@ -94,8 +92,7 @@ def best_time(fn, calls=1) -> float:
 
 def oracle_timings() -> dict:
     """Seconds per field of each oracle: per scalar call and batched."""
-    draws = list(validate._random_fields(np.random.default_rng(ORACLE_SEED), ORACLE_FIELDS))
-    coeffs, shifts = validate._stack_draws(draws)
+    coeffs, shifts = validate.oracle_fields()
     fields = [  # the columns without their zero-coefficient padding
         beam.BeamField(
             tuple(beam.BeamComponent(complex(c), float(s)) for c, s in zip(cs, ss) if c != 0)
@@ -126,7 +123,8 @@ def sample_layer_timings(samples: int) -> dict:
         "beam.exact_intensity": lambda: beam.exact_intensity(coeffs, shifts),
         "beam.exact_quadcell": lambda: beam.exact_quadcell(coeffs, shifts),
         "beam.second_order_intensities": lambda: beam.second_order_intensities(coeffs, shifts),
-        "beam.linearized_intensities": lambda: beam.linearized_intensities(coeffs, shifts),
+        "beam.linearized_intensity": lambda: beam.linearized_intensity(coeffs, shifts),
+        "beam.linearized_quadcell": lambda: beam.linearized_quadcell(coeffs, shifts),
         "spectra.power_spectrum": lambda: spectra.power_spectrum(ts),
         "spectra.attribute_peaks": lambda: spectra.attribute_peaks(spec, sc, "total"),
     }

@@ -4,8 +4,9 @@ The output field is a sum of up to three shifted Gaussians
 coeff * exp(-(y - shift)^2), one per interferometer path, with beam width
 fixed to 1 (shifts are measured in beam widths). Overlap integrals of
 shifted Gaussians have closed forms, so the total-intensity and quad-cell
-detector signals are exact. One array engine evaluates them, and the
-first-order linearization, over whole arrays of times or fields; the
+detector signals are exact. One array engine, a sum over pairs of
+components, evaluates them, their second-order expansion and the
+first-order linearization over whole arrays of times or fields; the
 scalar per-field functions wrap it. Quadrature versions exist only as
 independent test oracles.
 """
@@ -240,11 +241,6 @@ def erf(x) -> np.ndarray:
 # coefficients. The scalar functions further down wrap these.
 
 
-def _zeros(coeffs, shifts):
-    """Zeros of the broadcast trailing shape: where every engine sum starts."""
-    return np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
-
-
 def _pair_sum(coeffs, shifts, diag, excess):
     """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K, given
     as its diagonal D(s) = K(s, s) and excess E(a, b, D_a, D_b) = 2 K(a, b) - D_a - D_b.
@@ -254,7 +250,7 @@ def _pair_sum(coeffs, shifts, diag, excess):
     each kernel forms without cancellation. Zero-coefficient rows are skipped.
     Terms are formed and added in place, in the order of the formula.
     """
-    total = _zeros(coeffs, shifts)
+    total = np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
     # each row of shifts, and so each excess, takes the shape of total
     shifts = [np.broadcast_to(row, total.shape) for row in shifts]
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
@@ -309,37 +305,33 @@ def second_order_intensities(coeffs, shifts):
                      + sum_{j != k} Re(c_j conj(c_k)) (1 - (s_j - s_k)^2 / 2),
     a pair sum of diagonal 1 and excess -(s_j - s_k)^2.
     """
-    return SQRT_HALF_PI * _pair_sum(
-        coeffs, shifts, lambda s: 1.0, lambda a, b, da, db: -((a - b) ** 2)
-    )
+    return SQRT_HALF_PI * _pair_sum(coeffs, shifts, lambda s: 1.0, _minus_gap_squared)
 
 
-def linear_moments(coeffs, shifts):
-    """(s0, s1) of the first-order field Psi_lin(y) = exp(-y^2)(s0 + 2 s1 y).
-
-    Each component is expanded exp(-(y-d)^2) ~ exp(-y^2)(1 + 2 y d), so
-    s0 = sum of coefficients and s1 = sum of coeff * shift. For the
-    blocked-arm case the static parts cancel (s0 = 0) and Psi_lin reduces
-    to 2 y exp(-y^2) (d_B - d_A).
-    """
-    s0 = sum(coeffs, _zeros(coeffs, shifts))
-    s1 = sum((c * s for c, s in zip(coeffs, shifts)), _zeros(coeffs, shifts))
-    return s0, s1
+def _minus_gap_squared(a, b, da, db):
+    return -((a - b) ** 2)
 
 
-def linearized_intensities(coeffs, shifts):
-    """(I_T, dI) of the linearized field, closed form.
+# The linearized model expands each component to first order,
+# exp(-(y-s)^2) ~ exp(-y^2)(1 + 2 y s). A pair then contributes
+# exp(-2y^2)(1 + 2y a)(1 + 2y b), whose integral is sqrt(pi/2)(1 + ab) and
+# whose half-line difference is a + b, by the Gaussian moments
+# int exp(-2y^2) = sqrt(pi/2), int 4y^2 exp(-2y^2) = sqrt(pi/2) and
+# int_0^inf 2y exp(-2y^2) = 1/2. The quad-cell kernel a + b is the first-order
+# term of exact_quadcell's. In the blocked-arm case sum_j c_j = 0, so every
+# diagonal term vanishes and the linearized quad cell is exactly 0.
 
-    With Psi_lin = exp(-y^2)(s0 + 2 s1 y):
-      I_T  = sqrt(pi/2) (|s0|^2 + |s1|^2)
-      dI   = 2 Re(s0 conj(s1))
-    using the Gaussian moments int exp(-2y^2) = sqrt(pi/2),
-    int y^2 exp(-2y^2) = sqrt(pi/2)/4 and int_0^inf y exp(-2y^2) = 1/4.
-    """
-    s0, s1 = linear_moments(coeffs, shifts)
-    i_lin = SQRT_HALF_PI * (np.abs(s0) ** 2 + np.abs(s1) ** 2)
-    di_lin = 2.0 * (s0 * np.conj(s1)).real
-    return i_lin, di_lin
+
+def linearized_intensity(coeffs, shifts):
+    """I_T of the linearized field: a pair sum of kernel sqrt(pi/2)(1 + ab),
+    diagonal 1 + s^2 and excess -(a-b)^2."""
+    return SQRT_HALF_PI * _pair_sum(coeffs, shifts, lambda s: 1.0 + s * s, _minus_gap_squared)
+
+
+def linearized_quadcell(coeffs, shifts):
+    """Quad-cell dI of the linearized field: a pair sum of kernel a + b,
+    diagonal 2s and excess 0."""
+    return _pair_sum(coeffs, shifts, lambda s: s + s, lambda a, b, da, db: 0.0)
 
 
 def stack_fields(fields) -> tuple:

@@ -21,6 +21,12 @@ RESIDUAL_THRESHOLD = 1e-3
 
 DETECTORS = ("total", "quad")
 MODELS = ("exact", "linearized")
+_ENGINES = {
+    ("total", "exact"): beam.exact_intensity,
+    ("quad", "exact"): beam.exact_quadcell,
+    ("total", "linearized"): beam.linearized_intensity,
+    ("quad", "linearized"): beam.linearized_quadcell,
+}
 
 
 @dataclass(frozen=True)
@@ -50,11 +56,15 @@ class PowerSpectrum:
     power: np.ndarray
     duration: float
 
-    def bin_power(self, freq: float) -> float:
+    def bin_index(self, freq: float) -> int:
+        """The bin of freq: round(freq * duration), which must be in range."""
         k = int(round(freq * self.duration))
         if not 0 <= k < len(self.power):
             raise ValueError(f"frequency {freq} outside spectrum range")
-        return float(self.power[k])
+        return k
+
+    def bin_power(self, freq: float) -> float:
+        return float(self.power[self.bin_index(freq)])
 
 
 @dataclass(frozen=True)
@@ -102,12 +112,7 @@ def sample_detector(
     n = int(round(scenario.sample_rate * scenario.duration))
     coeffs = beam.path_coefficients(scenario)
     shifts = beam.path_shifts(scenario, np.arange(n) / scenario.sample_rate)
-    if model == "exact":
-        engine = beam.exact_intensity if detector == "total" else beam.exact_quadcell
-        out = engine(coeffs, shifts)
-    else:
-        i_lin, di_lin = beam.linearized_intensities(coeffs, shifts)
-        out = i_lin if detector == "total" else di_lin
+    out = _ENGINES[detector, model](coeffs, shifts)
     return TimeSeries(out, scenario.sample_rate, scenario.duration)
 
 
@@ -152,7 +157,7 @@ def attribute_peaks(
     residual_bins = np.ones(len(spec.power), dtype=bool)
     residual_bins[0] = False
     for _, freq, (m,) in tone_catalogue(scenario)[DETECTOR_BINS[detector]]:
-        k = int(round(freq * spec.duration))
+        k = spec.bin_index(freq)
         mirrors[m] = {"freq": freq, "power": float(spec.power[k])}
         residual_bins[k] = False
 

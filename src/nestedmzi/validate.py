@@ -131,9 +131,13 @@ def _stack_draws(draws) -> tuple:
     return coeffs, shifts
 
 
+def oracle_fields() -> tuple:
+    """(coeffs, shifts) of the 1000 random fields of check_detector_oracles."""
+    return _stack_draws(list(_random_fields(np.random.default_rng(20240824), 1000)))
+
+
 def check_detector_oracles():
-    rng = np.random.default_rng(20240824)
-    coeffs, shifts = _stack_draws(list(_random_fields(rng, 1000)))
+    coeffs, shifts = oracle_fields()
     totals = beam.exact_intensity(coeffs, shifts)
     quads = beam.exact_quadcell(coeffs, shifts)
     want_t = beam.quadrature_intensity(coeffs, shifts)
@@ -226,9 +230,7 @@ def check_case_c_quintic_quadcell():
         vals.append(float(np.max(np.abs(quad))))
     ratio = vals[0] / vals[1]
     sc = standard_case("c")
-    _, di_lin = beam.linearized_intensities(
-        beam.path_coefficients(sc), beam.path_shifts(sc, times)
-    )
+    di_lin = beam.linearized_quadcell(beam.path_coefficients(sc), beam.path_shifts(sc, times))
     lin_ok = bool(np.all(di_lin == 0.0))
     return _result(
         "blocked-arm quad-cell signal is quintic (and zero when linearized)",

@@ -15,9 +15,10 @@ from nestedmzi.beam import (
     SQRT_HALF_PI,
     BeamComponent,
     BeamField,
+    exact_quadcell,
     field_at,
-    linear_moments,
-    linearized_intensities,
+    linearized_intensity,
+    linearized_quadcell,
     mirror_shifts,
     path_coefficients,
     path_shifts,
@@ -261,17 +262,59 @@ def test_case_c_quadcell_nonzero_exact_zero_linearized():
     sc = standard_case("c")
     exact = [abs(quadcell_signal(field_at(sc, i / 64.0))) for i in range(1, 64)]
     assert max(exact) > 0.0
-    _, di_lin = linearized_intensities(*path_arrays(sc, np.arange(64) / 64.0))
+    di_lin = linearized_quadcell(*path_arrays(sc, np.arange(64) / 64.0))
     assert np.all(di_lin == 0.0)
 
 
 # -- linearized model ----------------------------------------------------
 
 
+def moments(coeffs, shifts):
+    """(s0, s1) of the first-order field Psi_lin(y) = exp(-y^2)(s0 + 2 s1 y):
+    exp(-(y-s)^2) ~ exp(-y^2)(1 + 2 y s), so s0 = sum c and s1 = sum c s."""
+    return np.sum(coeffs, axis=0), np.sum(coeffs * shifts, axis=0)
+
+
+def test_linearized_forms_match_the_moments_formula():
+    # I_T = sqrt(pi/2)(|s0|^2 + |s1|^2) and dI = 2 Re(s0 conj(s1)), by the
+    # Gaussian moments; checked on padded (P, F) fields with a zero row
+    # and an empty field.
+    rng = np.random.default_rng(17)
+    coeffs = rng.uniform(-1, 1, (4, 2000)) + 1j * rng.uniform(-1, 1, (4, 2000))
+    shifts = rng.uniform(-0.1, 0.1, coeffs.shape)
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0  # padding
+    coeffs[2] = 0.0
+    coeffs[:, 0] = 0.0
+    s0, s1 = moments(coeffs, shifts)
+    want_i = SQRT_HALF_PI * (np.abs(s0) ** 2 + np.abs(s1) ** 2)
+    want_d = 2.0 * (s0 * np.conj(s1)).real
+    got_i = linearized_intensity(coeffs, shifts)
+    got_d = linearized_quadcell(coeffs, shifts)
+    assert got_i[0] == got_d[0] == 0.0
+    assert np.all(np.abs(got_i - want_i) <= 1e-14 * want_i)
+    assert np.all(np.abs(got_d - want_d) <= 1e-15 * want_i)
+    empty = (np.zeros((0, 3), complex), np.zeros((0, 3)))
+    for f in (linearized_intensity, linearized_quadcell):
+        assert np.array_equal(f(*empty), np.zeros(3))
+
+
+def test_linearized_quadcell_is_the_first_order_of_the_exact_one():
+    # Both quad-cell kernels are odd in the shifts and agree at first
+    # order, so their difference is third order: 8x smaller per halving.
+    rng = np.random.default_rng(23)
+    coeffs = rng.uniform(-1, 1, (3, 400)) + 1j * rng.uniform(-1, 1, (3, 400))
+    shifts = rng.uniform(-1, 1, coeffs.shape)
+    gaps = [
+        np.max(np.abs(exact_quadcell(coeffs, t * shifts) - linearized_quadcell(coeffs, t * shifts)))
+        for t in (2e-2, 1e-2)
+    ]
+    assert gaps[0] / gaps[1] == pytest.approx(8.0, rel=0.01)
+
+
 def test_case_c_linearized_profile():
     sc = standard_case("c")
     for t in np.linspace(0.0, 1.0, 100):
-        s0, s1 = linear_moments(*path_arrays(sc, t))
+        s0, s1 = moments(*path_arrays(sc, t))
         d = mirror_shifts(sc, t)
         assert abs(s0) < 1e-15
         # |Psi_lin| = |2 y e^{-y^2} (d_A - d_B)| pointwise (sign is the
@@ -284,7 +327,8 @@ def test_case_c_linearized_profile():
 
 def test_linearized_static_matches_exact():
     sc = standard_case("a").with_overrides(vib_amplitude={m: 0.0 for m in MIRRORS})
-    i_lin, di_lin = linearized_intensities(*path_arrays(sc, 0.37))
+    i_lin = linearized_intensity(*path_arrays(sc, 0.37))
+    di_lin = linearized_quadcell(*path_arrays(sc, 0.37))
     assert i_lin == pytest.approx(total_intensity(field_at(sc, 0.37)), rel=1e-14)
     assert di_lin == 0.0
 
@@ -295,14 +339,15 @@ def test_linearized_intensity_matches_quadrature():
     y = 4.0 * (x + 1.0)  # [0, 8]
     wy = 4.0 * w
     for t in (0.1, 0.31, 0.77):
-        s0, s1 = linear_moments(*path_arrays(sc, t))
+        s0, s1 = moments(*path_arrays(sc, t))
 
         def intensity(yv):
             return np.abs(np.exp(-(yv**2)) * (s0 + 2.0 * s1 * yv)) ** 2
 
         pos = float(np.sum(wy * intensity(y)))
         neg = float(np.sum(wy * intensity(-y)))
-        i_lin, di_lin = linearized_intensities(*path_arrays(sc, t))
+        i_lin = linearized_intensity(*path_arrays(sc, t))
+        di_lin = linearized_quadcell(*path_arrays(sc, t))
         assert i_lin == pytest.approx(pos + neg, rel=1e-9)
         assert di_lin == pytest.approx(pos - neg, rel=1e-9, abs=1e-14)
 
@@ -317,7 +362,7 @@ def test_linearized_quadcell_is_first_order_accurate(s):
         coeffs = rng.normal(size=p) + 1j * rng.normal(size=p)
         shifts = rng.uniform(-s, s, size=p)
         field = BeamField(tuple(map(BeamComponent, coeffs, shifts)))
-        _, di_lin = linearized_intensities(coeffs, shifts)
+        di_lin = linearized_quadcell(coeffs, shifts)
         bound = np.sum(np.abs(coeffs)) ** 2 * s**2
         assert abs(di_lin - quadcell_signal_quadrature(field)) <= bound
 

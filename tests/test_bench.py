@@ -80,7 +80,8 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     for per_call in layers["samples_per_call_s"].values():
         assert set(per_call) == {
             "beam.path_shifts", "beam.exact_intensity", "beam.exact_quadcell",
-            "beam.second_order_intensities", "beam.linearized_intensities",
+            "beam.second_order_intensities", "beam.linearized_intensity",
+            "beam.linearized_quadcell",
             "spectra.power_spectrum", "spectra.attribute_peaks",
         }
     assert set(layers["fock_per_call_s"]) == {"4", "12"}

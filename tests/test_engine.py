@@ -28,9 +28,8 @@ def per_sample(sc, detector, model):
                 else beam.quadcell_signal(field)
             )
         else:
-            value = beam.linearized_intensities(
-                beam.path_coefficients(sc), beam.path_shifts(sc, t)
-            )[spectra.DETECTORS.index(detector)]
+            engine = beam.linearized_intensity if detector == "total" else beam.linearized_quadcell
+            value = engine(beam.path_coefficients(sc), beam.path_shifts(sc, t))
         out.append(value)
     return np.array(out)
 
@@ -145,13 +144,14 @@ def test_padded_fields_match_unpadded_scalar_calls():
     assert coeffs.shape == shifts.shape == (3, len(fields))
     totals = beam.exact_intensity(coeffs, shifts)
     quads = beam.exact_quadcell(coeffs, shifts)
-    i_lin, di_lin = beam.linearized_intensities(coeffs, shifts)
+    i_lin = beam.linearized_intensity(coeffs, shifts)
+    di_lin = beam.linearized_quadcell(coeffs, shifts)
     for k, field in enumerate(fields):
         assert abs(totals[k] - beam.total_intensity(field)) <= TOL
         assert abs(quads[k] - beam.quadcell_signal(field)) <= TOL
-        want_i, want_di = beam.linearized_intensities(*beam.stack_fields([field]))
-        assert abs(i_lin[k] - want_i) <= TOL
-        assert abs(di_lin[k] - want_di) <= TOL
+        one = beam.stack_fields([field])
+        assert abs(i_lin[k] - beam.linearized_intensity(*one)) <= TOL
+        assert abs(di_lin[k] - beam.linearized_quadcell(*one)) <= TOL
 
 
 @pytest.mark.parametrize(
@@ -163,10 +163,11 @@ def test_padded_fields_match_unpadded_scalar_calls():
     ],
 )
 def test_no_populated_row_gives_zeros_of_the_trailing_shape(coeffs, shifts):
-    for f in (beam.exact_intensity, beam.exact_quadcell, beam.second_order_intensities):
+    for f in (
+        beam.exact_intensity, beam.exact_quadcell, beam.second_order_intensities,
+        beam.linearized_intensity, beam.linearized_quadcell,
+    ):
         values = f(coeffs, shifts)
-        assert values.shape == (4,) and not values.any()
-    for values in beam.linearized_intensities(coeffs, shifts):
         assert values.shape == (4,) and not values.any()
 
 
@@ -209,9 +210,8 @@ def plain_pair_sum(coeffs, shifts, diag, excess):
     rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
     diags = {j: diag(shifts[j]) for j in rows}
-    total = sum(
-        (diags[j] * (coeffs[j] * conj_sum).real for j in rows), beam._zeros(coeffs, shifts)
-    )
+    zeros = np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
+    total = sum((diags[j] * (coeffs[j] * conj_sum).real for j in rows), zeros)
     for i, j in enumerate(rows):
         for k in rows[i + 1:]:
             weight = (coeffs[j] * np.conj(coeffs[k])).real

@@ -150,6 +150,15 @@ def test_attribution_refuses_colliding_plan():
         attribute_peaks(power_spectrum(ts), sc, "total")
 
 
+def test_attribution_refuses_a_bin_beyond_the_spectrum():
+    # 200 samples in 1 s keep bins 0-100; case a's 2 f_i lines reach 118 Hz
+    spec = power_spectrum(tone_series([(0.1, 62.0)], rate=200.0))
+    with pytest.raises(ValueError, match="frequency 118.0 outside spectrum range"):
+        attribute_peaks(spec, standard_case("a"), "total")
+    with pytest.raises(ValueError, match="frequency 118.0 outside spectrum range"):
+        spec.bin_power(118.0)
+
+
 def test_attribution_skips_inactive_mirrors():
     sc = standard_case("b").with_overrides(
         vib_amplitude={"A": 0.01, "B": 0, "C": 0, "E": 0, "F": 0}
