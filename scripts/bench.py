@@ -11,7 +11,7 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
 line. In this process it then times, best of 5: each check of
-``validate.run_all``; both quadrature oracles over the 1000 fields of
+``validate.run_all``, also giving each check's median of those 5 passes; both quadrature oracles over the 1000 fields of
 the oracle check (``validate.oracle_fields``), per call of each scalar
 wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
@@ -142,18 +142,21 @@ def fock_timings(order: int) -> dict:
 
 
 def layer_timings() -> dict:
-    """Best-of-5 seconds of each validate check and of each layer above."""
-    checks = {}
+    """Best-of-5 seconds of each validate check and of each layer above, and
+    each check's median over the same 5 passes of validate.run_all."""
+    passes = {check.__name__: [] for check in validate.ALL_CHECKS}
     for _ in range(BEST_OF):
         for check, result in zip(validate.ALL_CHECKS, validate.run_all()):
-            name = check.__name__
-            checks[name] = min(checks.get(name, np.inf), result.seconds)
+            passes[check.__name__].append(result.seconds)
     run = spectra.run(standard_case("a"), "total", "exact")
     with tempfile.TemporaryDirectory() as outdir:
         write_s = best_time(lambda: spectra.write_artifacts(outdir, *run), CALLS)
     return {
         "best_of": BEST_OF,
-        "validate_check_s": checks,
+        "validate_check_s": {name: min(times) for name, times in passes.items()},
+        "validate_check_median_s": {
+            name: float(np.median(times)) for name, times in passes.items()
+        },
         **oracle_timings(),
         "samples_per_call_s": {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS},
         "fock_per_call_s": {str(k): fock_timings(k) for k in FOCK_ORDERS},

@@ -243,7 +243,8 @@ def erf(x) -> np.ndarray:
 
 def _pair_sum(coeffs, shifts, diag, excess):
     """sum_{j,k} Re(c_j conj(c_k)) K(s_j, s_k) for a symmetric kernel K, given
-    as its diagonal D(s) = K(s, s) and excess E(a, b, D_a, D_b) = 2 K(a, b) - D_a - D_b.
+    as its diagonal D(s) = K(s, s) and excess E(a, b, D_a, D_b) = 2 K(a, b) - D_a - D_b,
+    or None where the excess is 0.
 
     Summed as sum_j D_j Re(c_j conj(S)) + sum_{j<k} Re(c_j conj(c_k)) E_jk with
     S = sum_j c_j, so nearly cancelling paths leave |S|^2 plus excesses that
@@ -258,7 +259,7 @@ def _pair_sum(coeffs, shifts, diag, excess):
     diags = {j: diag(shifts[j]) for j in rows}
     for j in rows:
         total += diags[j] * (coeffs[j] * conj_sum).real
-    for i, j in enumerate(rows):
+    for i, j in enumerate(rows if excess else ()):
         for k in rows[i + 1:]:
             term = excess(shifts[j], shifts[k], diags[j], diags[k])
             term *= (coeffs[j] * np.conj(coeffs[k])).real
@@ -331,7 +332,7 @@ def linearized_intensity(coeffs, shifts):
 def linearized_quadcell(coeffs, shifts):
     """Quad-cell dI of the linearized field: a pair sum of kernel a + b,
     diagonal 2s and excess 0."""
-    return _pair_sum(coeffs, shifts, lambda s: s + s, lambda a, b, da, db: 0.0)
+    return _pair_sum(coeffs, shifts, lambda s: s + s, None)
 
 
 def stack_fields(fields) -> tuple:

@@ -105,6 +105,9 @@ class Scenario:
         for name in ("phi", "kappa", "epsilon", "duration", "sample_rate"):
             value = _float(name, getattr(self, name), finite=name == "phi")
             object.__setattr__(self, name, value)
+        # before the per-mirror dicts, which with_epsilon fills from epsilon
+        if not (0.0 < self.epsilon < 0.1):
+            raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
         if not isinstance(self.series_order, numbers.Integral):
             raise ValueError(f"series_order must be an int, got {self.series_order!r}")
         object.__setattr__(self, "series_order", int(self.series_order))
@@ -116,8 +119,6 @@ class Scenario:
                 m: _float(f"{name}[{m}]", values[m], finite=True) for m in MIRRORS
             }
             object.__setattr__(self, name, values)
-        if not (0.0 < self.epsilon < 0.1):
-            raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
         if self.kappa not in (0.0, 1.0):
             raise ValueError(f"kappa must be 0 or 1, got {self.kappa}")
         if self.duration <= 0:

@@ -109,31 +109,22 @@ def check_transcription():
     )
 
 
-def _random_fields(rng, count):
-    """One (n, 3) draw per field of 1-3 components, rows (coeff re, coeff
-    im, shift): re and im uniform on [-1, 1), shift on [-0.1, 0.1). It takes
-    the same numbers from rng, in the same order, as rng.uniform per value."""
-    low, span = np.array([-1.0, -1.0, -0.1]), np.array([2.0, 2.0, 0.2])
-    for _ in range(count):
-        yield low + span * rng.random((rng.integers(1, 4), 3))
-
-
-def _stack_draws(draws) -> tuple:
-    """(coeffs, shifts) of shape (P, F) from F draws of _random_fields,
-    padded with zero coefficients as beam.stack_fields pads."""
-    sizes = np.array([len(d) for d in draws])
-    rows = np.concatenate(draws)
-    field = np.repeat(np.arange(len(draws)), sizes)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    coeffs = np.zeros((sizes.max(), len(draws)), dtype=complex)
-    shifts = np.zeros(coeffs.shape)
-    coeffs.real[slot, field], coeffs.imag[slot, field], shifts[slot, field] = rows.T
+def random_fields(rng, count) -> tuple:
+    """(coeffs, shifts) of shape (3, count): count fields of 1-3 components
+    from two rng calls, coefficient re and im uniform on [-1, 1) and shifts on
+    [-0.1, 0.1). Past each field's size both are 0, as beam.stack_fields pads."""
+    sizes = rng.integers(1, 4, size=count)
+    span = np.array([2.0, 2.0, 0.2])[:, np.newaxis, np.newaxis]
+    re, im, shifts = span * rng.random((3, 3, count)) - span / 2
+    coeffs = re + 1j * im
+    padding = np.arange(3)[:, np.newaxis] >= sizes
+    coeffs[padding] = shifts[padding] = 0.0
     return coeffs, shifts
 
 
 def oracle_fields() -> tuple:
     """(coeffs, shifts) of the 1000 random fields of check_detector_oracles."""
-    return _stack_draws(list(_random_fields(np.random.default_rng(20240824), 1000)))
+    return random_fields(np.random.default_rng(20240824), 1000)
 
 
 def check_detector_oracles():
@@ -153,12 +144,8 @@ def check_detector_oracles():
 
 def check_translation_invariance():
     rng = np.random.default_rng(7)
-    draws, offsets = [], []
-    for draw in _random_fields(rng, 200):
-        draws.append(draw)
-        offsets.append(float(rng.uniform(-0.5, 0.5)))
-    coeffs, shifts = _stack_draws(draws)
-    moved = shifts + np.array(offsets)
+    coeffs, shifts = random_fields(rng, 200)
+    moved = shifts + rng.uniform(-0.5, 0.5, 200)
     drift = beam.exact_intensity(coeffs, shifts) - beam.exact_intensity(coeffs, moved)
     worst = float(np.max(np.abs(drift)))
     return _result(

@@ -64,12 +64,14 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "CALLS", 1)
     layers = json.loads(json.dumps(bench.layer_timings()))
     assert set(layers) == {
-        "best_of", "validate_check_s", "oracle_fields", "oracle_per_call_s",
+        "best_of", "validate_check_s", "validate_check_median_s",
+        "oracle_fields", "oracle_per_call_s",
         "oracle_batched_per_field_s", "samples_per_call_s", "fock_per_call_s",
         "write_artifacts_s",
     }
     assert layers["best_of"] == 1 and layers["oracle_fields"] == 1000
-    assert list(layers["validate_check_s"]) == [c.__name__ for c in bench.validate.ALL_CHECKS]
+    names = [c.__name__ for c in bench.validate.ALL_CHECKS]
+    assert list(layers["validate_check_s"]) == list(layers["validate_check_median_s"]) == names
     assert set(layers["oracle_per_call_s"]) == {
         "total_intensity_quadrature", "quadcell_signal_quadrature"
     }
@@ -90,6 +92,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     times = [
         layers["write_artifacts_s"],
         *layers["validate_check_s"].values(),
+        *layers["validate_check_median_s"].values(),
         *layers["oracle_per_call_s"].values(),
         *layers["oracle_batched_per_field_s"].values(),
         *(t for d in layers["samples_per_call_s"].values() for t in d.values()),

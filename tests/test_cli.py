@@ -260,6 +260,15 @@ def test_invalid_epsilon_exits_one(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_epsilon_is_named_in_the_error(tmp_path, capsys, value):
+    # with_epsilon copies epsilon into the amplitudes; the error names epsilon
+    out = tmp_path / "run"
+    code, _, err = run(capsys, "spectrum", "--case", "a", "--epsilon", value, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert f"epsilon must lie in (0, 0.1), got {value}" in err
+
+
 def test_scenario_file_layering(tmp_path, capsys):
     sc = standard_case("b").with_overrides(epsilon=0.02)
     path = tmp_path / "scenario.json"

@@ -216,7 +216,7 @@ def plain_pair_sum(coeffs, shifts, diag, excess):
         for k in rows[i + 1:]:
             weight = (coeffs[j] * np.conj(coeffs[k])).real
             total += weight * excess(shifts[j], shifts[k], diags[j], diags[k])
-    return beam.SQRT_HALF_PI * total
+    return total
 
 
 # (diagonal, excess) of each kernel. The total and second-order excesses are
@@ -234,7 +234,10 @@ PLAIN_KERNELS = {
         ),
     ),
     "second_order_intensities": (lambda s: 1.0, lambda a, b, da, db: -((a - b) ** 2)),
+    "linearized_quadcell": (lambda s: s + s, lambda a, b, da, db: 0.0),
 }
+# the linearized quad cell carries no sqrt(pi/2)
+SCALES = dict.fromkeys(PLAIN_KERNELS, beam.SQRT_HALF_PI) | {"linearized_quadcell": 1.0}
 
 
 @pytest.mark.parametrize("name", PLAIN_KERNELS)
@@ -259,7 +262,7 @@ def test_engine_equals_the_plain_pair_sum_bit_for_bit(name):
         inputs.append((beam.path_coefficients(sc), beam.path_shifts(sc, np.arange(1024) / 1024.0)))
     for coeffs, shifts in inputs:
         got = getattr(beam, name)(coeffs, shifts)
-        want = plain_pair_sum(coeffs, shifts, *PLAIN_KERNELS[name])
+        want = SCALES[name] * plain_pair_sum(coeffs, shifts, *PLAIN_KERNELS[name])
         assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 

@@ -62,39 +62,30 @@ def test_detector_oracles_catch_a_closed_form_off_by_1e8(monkeypatch, name):
     assert not validate.check_detector_oracles().passed
 
 
-def scalar_random_fields(rng, count):
-    # One rng.uniform call per value: the draw order validate._random_fields
-    # must reproduce.
-    for _ in range(count):
-        n = rng.integers(1, 4)
-        yield beam.BeamField(
-            tuple(
-                beam.BeamComponent(
-                    complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-                    float(rng.uniform(-0.1, 0.1)),
-                )
-                for _ in range(n)
-            )
-        )
-
-
-def draw_field(draw):
-    return beam.BeamField(
-        tuple(beam.BeamComponent(complex(re, im), s) for re, im, s in draw.tolist())
-    )
-
-
 @pytest.mark.parametrize("seed,count", [(20240824, 1000), (7, 200)])
-def test_random_fields_match_one_draw_per_value(seed, count):
-    draws = list(validate._random_fields(np.random.default_rng(seed), count))
-    want = list(scalar_random_fields(np.random.default_rng(seed), count))
-    assert [draw_field(d) for d in draws] == want
-    # the scattered (P, F) arrays are those of beam.stack_fields
-    for got, expected in zip(validate._stack_draws(draws), beam.stack_fields(want)):
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-    # with an offset drawn after each field, as check_translation_invariance does
-    rng = np.random.default_rng(seed)
-    runs = [[(draw_field(d), rng.uniform(-0.5, 0.5)) for d in validate._random_fields(rng, count)]]
-    rng = np.random.default_rng(seed)
-    runs.append([(f, rng.uniform(-0.5, 0.5)) for f in scalar_random_fields(rng, count)])
-    assert runs[0] == runs[1]
+def test_random_fields_follow_the_draw_contract(seed, count):
+    coeffs, shifts = validate.random_fields(np.random.default_rng(seed), count)
+    assert coeffs.shape == shifts.shape == (3, count)
+    assert coeffs.dtype == complex and shifts.dtype == float
+    # each field's nonzero coefficients form a prefix of length 1-3
+    sizes = np.count_nonzero(coeffs, axis=0)
+    assert np.array_equal(coeffs != 0, np.arange(3)[:, np.newaxis] < sizes)
+    assert set(sizes.tolist()) == {1, 2, 3}
+    padded = coeffs == 0
+    assert np.all(shifts[padded] == 0)
+    for part in (coeffs.real, coeffs.imag):
+        assert np.all((-1 <= part[~padded]) & (part[~padded] < 1))
+    assert np.all((-0.1 <= shifts) & (shifts < 0.1))
+    # the columns are the padded arrays of beam.stack_fields
+    fields = [
+        beam.BeamField(tuple(
+            beam.BeamComponent(complex(c), float(s)) for c, s in zip(cs[:n], ss[:n])
+        ))
+        for cs, ss, n in zip(coeffs.T, shifts.T, sizes)
+    ]
+    for got, want in zip((coeffs, shifts), beam.stack_fields(fields)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    # the same seed gives the same fields
+    again = validate.random_fields(np.random.default_rng(seed), count)
+    assert np.array_equal(again[0], coeffs) and np.array_equal(again[1], shifts)
