@@ -11,8 +11,9 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
 line. In this process it then times, best of 5: each check of
-``validate.run_all``, also giving each check's median of those 5 passes; both quadrature oracles over the 1000 fields of
-the oracle check (``validate.oracle_fields``), per call of each scalar
+``validate.run_all``, with each check's median of the same 5 passes;
+both quadrature oracles over the 1000 fields of the oracle check
+(``validate.oracle_fields``), per call of each scalar
 wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
 ``fock.output_state`` and ``norm_series`` at orders 4 and 12; and
