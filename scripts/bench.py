@@ -10,15 +10,17 @@ write BENCH_N.json at its root:
 For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
-line. In this process it then times, best of 5: each check of
-``validate.run_all``, with each check's median of the same 5 passes;
-both quadrature oracles over the 1000 fields of the oracle check
-(``validate.oracle_fields``), per call of each scalar
+line. In this process it then times, in 5 repeats: each check of
+``validate.run_all``; both quadrature oracles over the 1000 fields of the
+oracle check (``validate.oracle_fields``), per call of each scalar
 wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
-``fock.output_state`` and ``norm_series`` at orders 4 and 12; and
-``spectra.write_artifacts`` of case a. It imports nestedmzi from ``src/``
-of the same checkout, with one BLAS thread, as perfbench does.
+``fock.output_state`` and ``norm_series`` at orders 4 and 12;
+``spectra.write_artifacts`` of case a; and ``cli.main(["plan-check",
+"--case", "a"])`` with standard output discarded, the fixed cost of one
+in-process CLI call. Each layer ``<name>_s`` is the best of the repeats,
+and ``<name>_median_s`` next to it their median. It imports nestedmzi
+from ``src/`` of the same checkout, with one BLAS thread, as perfbench does.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import subprocess  # noqa: E402
@@ -42,7 +45,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from nestedmzi import beam, fock, spectra, validate  # noqa: E402
+from nestedmzi import beam, cli, fock, spectra, validate  # noqa: E402
 from nestedmzi.scenario import standard_case  # noqa: E402
 from run import THREAD_ENV, cpu_model, git_commit  # noqa: E402  (perfbench/run.py)
 
@@ -80,15 +83,24 @@ def workload_entry(line: str, metric_names) -> dict:
     }
 
 
-def best_time(fn, calls=1) -> float:
-    """Best of BEST_OF repeats of the mean seconds per call of fn()."""
-    best = np.inf
+def repeat_times(fn, calls=1) -> list:
+    """Mean seconds per call of fn() in each of BEST_OF repeats."""
+    times = []
     for _ in range(BEST_OF):
         start = time.perf_counter()
         for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best
+        times.append((time.perf_counter() - start) / calls)
+    return times
+
+
+def best_and_median(name: str, times) -> dict:
+    """``name_s``, the best, and ``name_median_s``, the median, of times: a
+    list of repeat times, or a dict whose values are such lists or dicts."""
+    def reduce(f, t):
+        return {k: reduce(f, v) for k, v in t.items()} if isinstance(t, dict) else float(f(t))
+
+    return {f"{name}_s": reduce(min, times), f"{name}_median_s": reduce(np.median, times)}
 
 
 def oracle_timings() -> dict:
@@ -101,19 +113,19 @@ def oracle_timings() -> dict:
         for cs, ss in zip(coeffs.T, shifts.T)
     ]
     per_call = {
-        oracle.__name__: best_time(lambda: [oracle(f) for f in fields]) / len(fields)
+        oracle.__name__: [t / len(fields) for t in repeat_times(lambda: [oracle(f) for f in fields])]
         for oracle in (beam.total_intensity_quadrature, beam.quadcell_signal_quadrature)
     }
     batched = {
-        oracle.__name__: best_time(lambda: oracle(coeffs, shifts)) / len(fields)
+        oracle.__name__: [t / len(fields) for t in repeat_times(lambda: oracle(coeffs, shifts))]
         for oracle in (beam.quadrature_intensity, beam.quadrature_quadcell)
     }
-    return {"oracle_fields": len(fields), "oracle_per_call_s": per_call,
-            "oracle_batched_per_field_s": batched}
+    return {"oracle_fields": len(fields), **best_and_median("oracle_per_call", per_call),
+            **best_and_median("oracle_batched_per_field", batched)}
 
 
 def sample_layer_timings(samples: int) -> dict:
-    """Seconds per call of each layer of one case-a run of ``samples``."""
+    """Repeat times per call of each layer of one case-a run of ``samples``."""
     sc = standard_case("a").with_overrides(sample_rate=float(samples))
     t = np.arange(samples) / sc.sample_rate
     coeffs, shifts = beam.path_coefficients(sc), beam.path_shifts(sc, t)
@@ -129,39 +141,46 @@ def sample_layer_timings(samples: int) -> dict:
         "spectra.power_spectrum": lambda: spectra.power_spectrum(ts),
         "spectra.attribute_peaks": lambda: spectra.attribute_peaks(spec, sc, "total"),
     }
-    return {name: best_time(fn, CALLS) for name, fn in layers.items()}
+    return {name: repeat_times(fn, CALLS) for name, fn in layers.items()}
 
 
 def fock_timings(order: int) -> dict:
-    """Seconds per call of the case-a output state and its norm series."""
+    """Repeat times per call of the case-a output state and its norm series."""
     sc = standard_case("a")
     state = fock.output_state(sc.phi, sc.kappa, order)
     return {
-        "fock.output_state": best_time(lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS),
-        "fock.norm_series": best_time(lambda: fock.norm_series(state), CALLS),
+        "fock.output_state": repeat_times(lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS),
+        "fock.norm_series": repeat_times(lambda: fock.norm_series(state), CALLS),
     }
 
 
+def cli_main_times() -> list:
+    """Repeat times per in-process ``nestedmzi plan-check --case a``."""
+    argv = ["plan-check", "--case", "a"]
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        if cli.main(argv) != 0:
+            raise RuntimeError(f"nestedmzi {' '.join(argv)} failed")
+        return repeat_times(lambda: cli.main(argv), CALLS)
+
+
 def layer_timings() -> dict:
-    """Best-of-5 seconds of each validate check and of each layer above, and
-    each check's median over the same 5 passes of validate.run_all."""
+    """Best and median of 5 repeats of each validate check (interleaved
+    passes of validate.run_all) and of each layer above."""
     passes = {check.__name__: [] for check in validate.ALL_CHECKS}
     for _ in range(BEST_OF):
         for check, result in zip(validate.ALL_CHECKS, validate.run_all()):
             passes[check.__name__].append(result.seconds)
     run = spectra.run(standard_case("a"), "total", "exact")
     with tempfile.TemporaryDirectory() as outdir:
-        write_s = best_time(lambda: spectra.write_artifacts(outdir, *run), CALLS)
+        write = repeat_times(lambda: spectra.write_artifacts(outdir, *run), CALLS)
     return {
         "best_of": BEST_OF,
-        "validate_check_s": {name: min(times) for name, times in passes.items()},
-        "validate_check_median_s": {
-            name: float(np.median(times)) for name, times in passes.items()
-        },
+        **best_and_median("validate_check", passes),
         **oracle_timings(),
-        "samples_per_call_s": {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS},
-        "fock_per_call_s": {str(k): fock_timings(k) for k in FOCK_ORDERS},
-        "write_artifacts_s": write_s,
+        **best_and_median("samples_per_call", {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS}),
+        **best_and_median("fock_per_call", {str(k): fock_timings(k) for k in FOCK_ORDERS}),
+        **best_and_median("write_artifacts", write),
+        **best_and_median("cli_main", cli_main_times()),
     }
 
 

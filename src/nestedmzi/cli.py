@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -176,7 +177,13 @@ def cmd_validate(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    It binds no command function: main looks up ``cmd_<command>`` when the
+    command runs, so a later rebinding of that module global takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="nestedmzi",
         description="Nested Mach-Zehnder which-path witness simulator",
@@ -191,7 +198,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true",
                    help="print both procedures and their ratio")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_fock)
 
     p = sub.add_parser("spectrum", help="sample a detector and attribute peaks")
     _add_scenario_flags(p)
@@ -200,16 +206,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing output files")
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("plan-check", help="tone catalog and collision report")
     _add_scenario_flags(p)
-    p.set_defaults(func=cmd_plan_check)
 
     p = sub.add_parser("validate", help="run the full self-check suite")
     p.add_argument("--json", action="store_true",
                    help="print [{name, passed, detail, seconds}] instead of text")
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
@@ -239,8 +242,9 @@ def guard_stdout(func, *args) -> int:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return guard_stdout(args.func, args)
+        return guard_stdout(command, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

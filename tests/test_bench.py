@@ -63,15 +63,18 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "BEST_OF", 1)
     monkeypatch.setattr(bench, "CALLS", 1)
     layers = json.loads(json.dumps(bench.layer_timings()))
-    assert set(layers) == {
-        "best_of", "validate_check_s", "validate_check_median_s",
-        "oracle_fields", "oracle_per_call_s",
-        "oracle_batched_per_field_s", "samples_per_call_s", "fock_per_call_s",
-        "write_artifacts_s",
+    timed = ("validate_check", "oracle_per_call", "oracle_batched_per_field",
+             "samples_per_call", "fock_per_call", "write_artifacts", "cli_main")
+    assert set(layers) == {"best_of", "oracle_fields"} | {
+        f"{name}{suffix}" for name in timed for suffix in ("_s", "_median_s")
     }
     assert layers["best_of"] == 1 and layers["oracle_fields"] == 1000
     names = [c.__name__ for c in bench.validate.ALL_CHECKS]
-    assert list(layers["validate_check_s"]) == list(layers["validate_check_median_s"]) == names
+    assert list(layers["validate_check_s"]) == names
+    for name in timed:
+        best, median = layers[f"{name}_s"], layers[f"{name}_median_s"]
+        # one repeat: the median is that repeat, as is the best
+        assert median == best, name
     assert set(layers["oracle_per_call_s"]) == {
         "total_intensity_quadrature", "quadcell_signal_quadrature"
     }
@@ -91,11 +94,21 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         assert set(per_call) == {"fock.output_state", "fock.norm_series"}
     times = [
         layers["write_artifacts_s"],
+        layers["cli_main_s"],
         *layers["validate_check_s"].values(),
-        *layers["validate_check_median_s"].values(),
         *layers["oracle_per_call_s"].values(),
         *layers["oracle_batched_per_field_s"].values(),
         *(t for d in layers["samples_per_call_s"].values() for t in d.values()),
         *(t for d in layers["fock_per_call_s"].values() for t in d.values()),
     ]
     assert all(t > 0 for t in times)
+
+
+def test_best_and_median_keeps_the_shape_of_nested_times():
+    bench = load_bench()
+    times = {"x": [3.0, 1.0, 2.0], "y": {"z": [4.0, 8.0, 5.0]}}
+    assert bench.best_and_median("layer", times) == {
+        "layer_s": {"x": 1.0, "y": {"z": 4.0}},
+        "layer_median_s": {"x": 2.0, "y": {"z": 5.0}},
+    }
+    assert bench.best_and_median("w", [0.5, 0.25]) == {"w_s": 0.25, "w_median_s": 0.375}

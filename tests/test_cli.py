@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nestedmzi import spectra, validate
+from nestedmzi import cli, spectra, validate
 from nestedmzi.cli import main
 from nestedmzi.scenario import standard_case
 
@@ -227,6 +227,7 @@ def test_validate_json_lists_the_text_results(capsys):
         assert list(r) == ["name", "passed", "detail", "seconds"]
         assert r["passed"] is True
         assert isinstance(r["seconds"], float) and r["seconds"] >= 0.0
+    # the same parser parses again; --json must not stick
     code, out, _ = run(capsys, "validate")
     assert code == 0
     lines = out.splitlines()
@@ -346,6 +347,47 @@ def test_non_integer_sample_count_exits_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: ") and "1000.4" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_reused_parser_keeps_no_state(tmp_path, capsys):
+    # Every call below parses with the one parser that main builds per process.
+    assert cli.make_parser() is cli.make_parser()
+    args = ("spectrum", "--case", "a", "--detector", "quad", "--model", "exact")
+    assert run(capsys, *args, "--out", str(tmp_path / "first"))[0] == 0
+    # --freq appends to a list; A=37 collides with B, so it exits 1 if honoured
+    code, _, err = run(capsys, *args, "--freq", "A=37", "--out", str(tmp_path / "freq"))
+    assert code == 1 and "collision" in err
+    assert run(capsys, *args, "--out", str(tmp_path / "after"))[0] == 0
+    for name in spectra.ARTIFACTS:
+        first = (tmp_path / "first" / name).read_bytes()
+        assert (tmp_path / "after" / name).read_bytes() == first, name
+
+    with pytest.raises(SystemExit) as exc:
+        main(["plan-check", "--case", "z"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["plan-check", "--case", "a", "--freq", "Z=1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "plan-check", "--case", "a")[0] == 0
+
+
+def test_the_command_is_looked_up_when_it_runs(tmp_path, capsys, monkeypatch):
+    # A tracer wraps cli.cmd_* by rebinding the module globals after the
+    # parser exists; main must run what the globals hold at that moment.
+    assert run(capsys, "plan-check", "--case", "a")[0] == 0
+    ran = []
+
+    def planted(args):
+        ran.append(args.command)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_spectrum", planted)
+    monkeypatch.setattr(cli, "cmd_validate", planted)
+    assert run(capsys, "spectrum", "--case", "a", "--out", str(tmp_path / "x"))[0] == 0
+    assert run(capsys, "validate")[0] == 0
+    assert ran == ["spectrum", "validate"]
     assert not (tmp_path / "x").exists()
 
 
