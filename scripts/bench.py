@@ -112,12 +112,15 @@ def oracle_timings() -> dict:
         )
         for cs, ss in zip(coeffs.T, shifts.T)
     ]
+    def per_field(fn):
+        return [t / len(fields) for t in repeat_times(fn)]
+
     per_call = {
-        oracle.__name__: [t / len(fields) for t in repeat_times(lambda: [oracle(f) for f in fields])]
+        oracle.__name__: per_field(lambda: [oracle(f) for f in fields])
         for oracle in (beam.total_intensity_quadrature, beam.quadcell_signal_quadrature)
     }
     batched = {
-        oracle.__name__: [t / len(fields) for t in repeat_times(lambda: oracle(coeffs, shifts))]
+        oracle.__name__: per_field(lambda: oracle(coeffs, shifts))
         for oracle in (beam.quadrature_intensity, beam.quadrature_quadcell)
     }
     return {"oracle_fields": len(fields), **best_and_median("oracle_per_call", per_call),
@@ -149,7 +152,9 @@ def fock_timings(order: int) -> dict:
     sc = standard_case("a")
     state = fock.output_state(sc.phi, sc.kappa, order)
     return {
-        "fock.output_state": repeat_times(lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS),
+        "fock.output_state": repeat_times(
+            lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS
+        ),
         "fock.norm_series": repeat_times(lambda: fock.norm_series(state), CALLS),
     }
 
@@ -177,7 +182,9 @@ def layer_timings() -> dict:
         "best_of": BEST_OF,
         **best_and_median("validate_check", passes),
         **oracle_timings(),
-        **best_and_median("samples_per_call", {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS}),
+        **best_and_median(
+            "samples_per_call", {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS}
+        ),
         **best_and_median("fock_per_call", {str(k): fock_timings(k) for k in FOCK_ORDERS}),
         **best_and_median("write_artifacts", write),
         **best_and_median("cli_main", cli_main_times()),
