@@ -116,30 +116,6 @@ class BeamField:
     components: tuple
 
 
-def mirror_shifts(scenario: Scenario, t) -> dict:
-    """d_i(t) = amplitude_i * sin(2 pi f_i t) for every mirror.
-
-    ``t`` is a time or an array of times; each value has the shape of ``t``.
-    """
-    return dict(zip(MIRRORS, _mirror_rows(scenario, t)))
-
-
-def _mirror_rows(scenario: Scenario, t) -> np.ndarray:
-    """The mirror_shifts as rows in MIRRORS order, shape (5,) + shape(t).
-
-    Each row is evaluated in place, and a mirror at rest keeps its row of
-    zeros without a sin pass: fewer and smaller temporaries per run.
-    """
-    rows = np.zeros((len(MIRRORS),) + np.shape(t))
-    for k, m in enumerate(MIRRORS):
-        if scenario.vib_amplitude[m]:
-            row = rows[k, ...]
-            np.multiply(2.0 * math.pi * scenario.mirror_freq[m], t, out=row)
-            np.sin(row, out=row)
-            row *= scenario.vib_amplitude[m]
-    return rows
-
-
 # -- path table ----------------------------------------------------------
 
 
@@ -152,10 +128,19 @@ def path_coefficients(scenario: Scenario) -> np.ndarray:
 def path_shifts(scenario: Scenario, t) -> np.ndarray:
     """Shifts of the scenario.PATHS, shape (len(PATHS),) + shape(t).
 
-    ``t`` is a time or a 1-D array of times. A path's shift is the sum of
-    the shifts of the mirrors it meets.
+    ``t`` is a time or a 1-D array of times. Mirror m is displaced by
+    d_m(t) = amplitude_m * sin(2 pi f_m t), and a path's shift is the sum of
+    the d_m of the mirrors it meets. Each d_m is formed in place in its row,
+    and a mirror at rest keeps its row of zeros without a sin pass.
     """
-    return INCIDENCE @ _mirror_rows(scenario, t)
+    rows = np.zeros((len(MIRRORS),) + np.shape(t))
+    for k, m in enumerate(MIRRORS):
+        if scenario.vib_amplitude[m]:
+            row = rows[k, ...]
+            np.multiply(2.0 * math.pi * scenario.mirror_freq[m], t, out=row)
+            np.sin(row, out=row)
+            row *= scenario.vib_amplitude[m]
+    return INCIDENCE @ rows
 
 
 # -- erf -----------------------------------------------------------------

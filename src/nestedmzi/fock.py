@@ -28,8 +28,6 @@ import numpy as np
 from .scenario import MIRRORS, PATHS, path_weights, standard_case
 from .series import EpsSeries, inv_sqrt_one_plus_sq
 
-ZERO_LABEL = "0" * len(MIRRORS)
-
 # Row i is the mode whose label, read as a binary number, is i: the first
 # mirror is the highest bit, and row order is sorted-label order.
 _ROWS = np.arange(2 ** len(MIRRORS))
@@ -94,7 +92,7 @@ class ModeState:
     @property
     def amplitudes(self) -> dict:
         """{label: EpsSeries} of the populated modes, in label order."""
-        return {label: self.amplitude(label) for label in self.support()}
+        return {_label(i): EpsSeries(self.coeffs[i]) for i in np.flatnonzero(self.mask)}
 
     def amplitude(self, label: str) -> EpsSeries:
         return EpsSeries(self.coeffs[_row(label)])
@@ -209,7 +207,8 @@ def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
-    return abs(state.amplitude(ZERO_LABEL).eval(epsilon)) ** 2
+    """|amplitude|^2 of the zero mode "00000", which is row 0."""
+    return abs(EpsSeries(state.coeffs[0]).eval(epsilon)) ** 2
 
 
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:

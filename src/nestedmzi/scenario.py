@@ -11,8 +11,10 @@ import cmath
 import json
 import math
 import numbers
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import chain, combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,6 +62,12 @@ _FREQ_TOL = 1e-9
 
 # Powers of eps above ~20 carry nothing in double precision for eps < 0.1.
 MAX_SERIES_ORDER = 64
+# A detector run holds about 17 doubles per sample (the mirror rows, the path
+# shifts and the quad-cell pair sum's temporaries): some 140 MB at this bound.
+MAX_SAMPLES = 2**20
+
+# The per-mirror fields, each stored as a read-only {mirror: float} map.
+_PER_MIRROR = ("mirror_freq", "vib_amplitude")
 
 
 def _float(name: str, value, finite: bool = False) -> float:
@@ -81,13 +89,14 @@ def _float(name: str, value, finite: bool = False) -> float:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Full experiment configuration. Immutable after construction."""
+    """Full experiment configuration. Immutable after construction: the
+    per-mirror maps are read-only views of the validated values."""
 
     phi: float
     kappa: float
     epsilon: float = 0.01
-    mirror_freq: dict = field(default_factory=lambda: dict(DEFAULT_FREQS))
-    vib_amplitude: dict = None
+    mirror_freq: Mapping = field(default_factory=lambda: dict(DEFAULT_FREQS))
+    vib_amplitude: Mapping = None
     duration: float = 1.0
     sample_rate: float = 1024.0
     series_order: int = 4
@@ -105,20 +114,20 @@ class Scenario:
         for name in ("phi", "kappa", "epsilon", "duration", "sample_rate"):
             value = _float(name, getattr(self, name), finite=name == "phi")
             object.__setattr__(self, name, value)
-        # before the per-mirror dicts, which with_epsilon fills from epsilon
+        # before the per-mirror maps, which with_epsilon fills from epsilon
         if not (0.0 < self.epsilon < 0.1):
             raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
         if not isinstance(self.series_order, numbers.Integral):
             raise ValueError(f"series_order must be an int, got {self.series_order!r}")
         object.__setattr__(self, "series_order", int(self.series_order))
-        for name in ("mirror_freq", "vib_amplitude"):
+        for name in _PER_MIRROR:
             values = getattr(self, name)
-            if not isinstance(values, dict) or set(values) != set(MIRRORS):
+            if not isinstance(values, Mapping) or set(values) != set(MIRRORS):
                 raise ValueError(f"{name} must map exactly the five mirrors A,B,C,E,F")
             values = {
                 m: _float(f"{name}[{m}]", values[m], finite=True) for m in MIRRORS
             }
-            object.__setattr__(self, name, values)
+            object.__setattr__(self, name, MappingProxyType(values))
         if self.kappa not in (0.0, 1.0):
             raise ValueError(f"kappa must be 0 or 1, got {self.kappa}")
         if self.duration <= 0:
@@ -129,6 +138,11 @@ class Scenario:
             raise ValueError(
                 f"sample_rate {self.sample_rate} * duration {self.duration} = "
                 f"{samples} is not an integer number of samples"
+            )
+        if round(samples) > MAX_SAMPLES:
+            raise ValueError(
+                f"sample_rate {self.sample_rate} * duration {self.duration} = "
+                f"{samples:g} samples, more than MAX_SAMPLES = {MAX_SAMPLES}"
             )
         if not 3 <= self.series_order <= MAX_SERIES_ORDER:
             raise ValueError(f"series_order must lie in [3, {MAX_SERIES_ORDER}]")
@@ -158,7 +172,14 @@ class Scenario:
     # -- JSON round trip -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _PER_MIRROR:
+            data[name] = dict(data[name])
+        return data
+
+    def __reduce__(self):
+        # pickle and deepcopy go through to_dict: a mappingproxy has no pickle form
+        return type(self).from_dict, (self.to_dict(),)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -98,14 +98,12 @@ def check_witness_proportionality():
 
 def check_transcription():
     report = fock.compare_transcription(math.pi)
-    ok = report.ok and report.extra_term_detected
-    extra = [d for d in report.extra_terms if d.label == "00011" and d.power == 2]
-    coeff_ok = bool(extra) and abs(extra[0].computed - (-2.0 / 3.0)) < 1e-12
+    extra = [d.computed for d in report.extra_terms if d.label == "00011" and d.power == 2]
     return _result(
         "transcription agrees; extra 00011 term confirmed",
-        ok and coeff_ok,
+        report.ok and bool(extra) and abs(extra[0] - (-2.0 / 3.0)) < 1e-12,
         f"unexpected diffs: {len(report.unexpected)}, "
-        f"00011 eps^2 coefficient: {extra[0].computed if extra else 'missing'}",
+        f"00011 eps^2 coefficient: {extra[0] if extra else 'missing'}",
     )
 
 

@@ -19,7 +19,6 @@ from nestedmzi.beam import (
     field_at,
     linearized_intensity,
     linearized_quadcell,
-    mirror_shifts,
     path_coefficients,
     path_shifts,
     quadcell_signal,
@@ -46,35 +45,43 @@ def path_arrays(sc, t):
 # -- field construction --------------------------------------------------
 
 
-def test_mirror_shifts_bounds_and_zero_start():
-    sc = standard_case("a")
-    d0 = mirror_shifts(sc, 0.0)
-    assert all(v == 0.0 for v in d0.values())
-    for t in np.linspace(0, 1, 37):
-        d = mirror_shifts(sc, t)
-        for m in MIRRORS:
-            assert abs(d[m]) <= sc.vib_amplitude[m] + 1e-15
+def plain_shifts(sc, t):
+    """{mirror: amplitude * sin(2 pi f t)}, one plain sin pass per mirror."""
+    return {
+        m: sc.vib_amplitude[m] * np.sin(2.0 * math.pi * sc.mirror_freq[m] * t)
+        for m in MIRRORS
+    }
 
 
 def test_shifts_equal_one_sin_pass_per_mirror():
-    # The plain form, amplitude * sin(2 pi f t) per mirror stacked and summed
-    # along the paths, against the in-place rows: equal bit for bit, also
-    # with mirrors at rest and at a scalar time.
+    # The plain shifts summed along the paths against path_shifts: equal bit
+    # for bit, also with mirrors at rest and at a scalar time. So every path
+    # starts at 0 and stays within the amplitudes of the mirrors it meets.
     rng = np.random.default_rng(3)
-    for case in "abc":
-        for rest in ((), ("C",), ("A", "B")):
-            sc = standard_case(case).with_overrides(
-                vib_amplitude={m: 0.0 if m in rest else rng.uniform(0.001, 0.05) for m in MIRRORS}
-            )
-            for t in (np.arange(3072) / 1024.0, 0.377):
-                plain = {
-                    m: sc.vib_amplitude[m] * np.sin(2.0 * math.pi * sc.mirror_freq[m] * t)
-                    for m in MIRRORS
-                }
-                d = mirror_shifts(sc, t)
-                assert all(np.array_equal(d[m], plain[m]) for m in MIRRORS)
-                want = beam.INCIDENCE @ np.array([plain[m] for m in MIRRORS])
-                assert np.array_equal(path_shifts(sc, t), want)
+    scenarios = [
+        standard_case(case).with_overrides(
+            vib_amplitude={m: 0.0 if m in rest else rng.uniform(0.001, 0.05) for m in MIRRORS}
+        )
+        for case in "abc"
+        for rest in ((), ("C",), ("A", "B"))
+    ]
+    # Five distinct amplitudes: a swap of two mirrors' frequencies (E and F
+    # here) moves the path shifts, where equal amplitudes would hide it.
+    distinct = standard_case("b").with_overrides(
+        vib_amplitude=dict(zip(MIRRORS, (0.011, 0.023, 0.037, 0.041, 0.053)))
+    )
+    freqs = distinct.mirror_freq
+    swapped = distinct.with_overrides(mirror_freq={**freqs, "E": freqs["F"], "F": freqs["E"]})
+    times = np.arange(3072) / 1024.0
+    assert not np.array_equal(path_shifts(swapped, times), path_shifts(distinct, times))
+    for sc in scenarios + [distinct]:
+        reach = beam.INCIDENCE @ np.array([sc.vib_amplitude[m] for m in MIRRORS])
+        for t in (times, 0.377, 0.0):
+            plain = plain_shifts(sc, t)
+            got = path_shifts(sc, t)
+            assert np.array_equal(got, beam.INCIDENCE @ np.array([plain[m] for m in MIRRORS]))
+            assert np.all(np.abs(got).T <= reach + 1e-15)
+        assert not np.any(path_shifts(sc, 0.0))
 
 
 def test_case_c_field_two_components():
@@ -315,7 +322,7 @@ def test_case_c_linearized_profile():
     sc = standard_case("c")
     for t in np.linspace(0.0, 1.0, 100):
         s0, s1 = moments(*path_arrays(sc, t))
-        d = mirror_shifts(sc, t)
+        d = plain_shifts(sc, t)
         assert abs(s0) < 1e-15
         # |Psi_lin| = |2 y e^{-y^2} (d_A - d_B)| pointwise (sign is the
         # unphysical overall phase of the field)
@@ -374,7 +381,7 @@ def test_second_order_symbolic_forms():
     # case b: I/sqrt(pi/2) = 1 + 2 (d_A - d_B)(d_A - d_C + d_E + d_F)
     times = np.array([0.11, 0.29, 0.83])
     sc = standard_case("b")
-    d = mirror_shifts(sc, times)
+    d = plain_shifts(sc, times)
     expected = SQRT_HALF_PI * (
         1.0 + 2.0 * (d["A"] - d["B"]) * (d["A"] - d["C"] + d["E"] + d["F"])
     )
@@ -385,7 +392,7 @@ def test_second_order_symbolic_forms():
     # path shifts (d_A + d_E + d_F) - (d_B + d_E + d_F), whose rounding is
     # ~1e-10 relative to d_A - d_B
     sc = standard_case("c")
-    d = mirror_shifts(sc, times)
+    d = plain_shifts(sc, times)
     expected = SQRT_HALF_PI * (d["A"] - d["B"]) ** 2
     got = second_order_intensities(*path_arrays(sc, times))
     assert got == pytest.approx(expected, rel=1e-8, abs=1e-15)
@@ -400,7 +407,7 @@ def test_second_order_matches_exact_to_quartic():
         worst = 0.0
         for t, approx in zip(times, second):
             diff = abs(total_intensity(field_at(sc, t)) - approx)
-            shift = max(abs(v) for v in mirror_shifts(sc, t).values())
+            shift = max(abs(v) for v in plain_shifts(sc, t).values())
             if shift > 1e-6:
                 worst = max(worst, diff / shift**4)
         consts.append(worst)

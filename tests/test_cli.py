@@ -486,6 +486,19 @@ def test_bad_freq_override_is_a_usage_error(capsys, item):
     assert err == f"error: bad --freq override {item!r}; expected e.g. A=31\n"
 
 
+def test_sample_count_above_bound_exits_one_before_sampling(tmp_path, capsys, monkeypatch):
+    # 1e9 samples would ask numpy for some 136 GB: fail rather than sample.
+    monkeypatch.setattr(spectra, "run", lambda *args: pytest.fail("sampled"))
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "spectrum", "--case", "a", "--rate", "1e9", "--out", str(out))
+    assert code == 1
+    assert err == (
+        "error: sample_rate 1000000000.0 * duration 1.0 = 1e+09 samples, "
+        "more than MAX_SAMPLES = 1048576\n"
+    )
+    assert not out.exists()
+
+
 def test_series_order_above_bound_exits_one_without_traceback():
     code, err = _cli("fock", "--case", "a", "--order", "100000")
     assert code == 1, err

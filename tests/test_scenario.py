@@ -1,11 +1,14 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nestedmzi.scenario import (
     DEFAULT_FREQS,
+    MAX_SAMPLES,
     MAX_SERIES_ORDER,
     MIRRORS,
     Collision,
@@ -246,6 +249,31 @@ def test_series_order_out_of_bounds_names_the_field(order):
         standard_case("a").with_overrides(series_order=order)
     top = standard_case("a").with_overrides(series_order=MAX_SERIES_ORDER)
     assert top.series_order == MAX_SERIES_ORDER
+
+
+def test_sample_count_is_bounded_and_names_both_fields():
+    top = standard_case("a").with_overrides(sample_rate=float(MAX_SAMPLES))
+    assert top.sample_rate * top.duration == MAX_SAMPLES
+    with pytest.raises(ValueError, match=r"^sample_rate 1000000000.0 \* duration 1.0 = 1e\+09"):
+        standard_case("a").with_overrides(sample_rate=1e9)
+    with pytest.raises(ValueError, match=r"^sample_rate 1024.0 \* duration 2048.0 = .*MAX_SAMPLES"):
+        standard_case("a").with_overrides(duration=2048.0)
+
+
+@pytest.mark.parametrize("name", ["mirror_freq", "vib_amplitude"])
+def test_per_mirror_maps_are_read_only(name):
+    # A frequency set after validation would bypass the plan checks.
+    sc = standard_case("a")
+    with pytest.raises(TypeError):
+        getattr(sc, name)["A"] = 30.5
+    assert sc == standard_case("a")
+
+
+def test_read_only_maps_leave_as_plain_dicts():
+    sc = standard_case("a").with_epsilon(0.02)
+    data = sc.to_dict()
+    assert type(data["mirror_freq"]) is dict and type(data["vib_amplitude"]) is dict
+    assert pickle.loads(pickle.dumps(sc)) == sc == copy.deepcopy(sc)
 
 
 def test_numbers_are_stored_as_floats():
