@@ -16,9 +16,11 @@ oracle check (``validate.oracle_fields``), per call of each scalar
 wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
 ``fock.output_state`` and ``norm_series`` at orders 4 and 12;
-``spectra.write_artifacts`` of case a; and ``cli.main(["plan-check",
-"--case", "a"])`` with standard output discarded, the fixed cost of one
-in-process CLI call. Each layer ``<name>_s`` is the best of the repeats,
+``spectra.write_artifacts`` of case a, warm and with the CSV row
+template cache cleared before each call (``write_artifacts_cold``, the
+write of a one-shot ``nestedmzi spectrum`` process); and
+``cli.main(["plan-check", "--case", "a"])`` with standard output
+discarded, the fixed cost of one in-process CLI call. Each layer ``<name>_s`` is the best of the repeats,
 and ``<name>_median_s`` next to it their median. It imports nestedmzi
 from ``src/`` of the same checkout, with one BLAS thread, as perfbench does.
 """
@@ -168,6 +170,13 @@ def cli_main_times() -> list:
         return repeat_times(lambda: cli.main(argv), CALLS)
 
 
+def write_artifacts_cold(outdir, run) -> None:
+    """spectra.write_artifacts with no CSV row template cached, as in the
+    first write of a one-shot ``nestedmzi spectrum`` process."""
+    spectra._row_template.cache_clear()
+    spectra.write_artifacts(outdir, *run)
+
+
 def layer_timings() -> dict:
     """Best and median of 5 repeats of each validate check (interleaved
     passes of validate.run_all) and of each layer above."""
@@ -178,6 +187,7 @@ def layer_timings() -> dict:
     run = spectra.run(standard_case("a"), "total", "exact")
     with tempfile.TemporaryDirectory() as outdir:
         write = repeat_times(lambda: spectra.write_artifacts(outdir, *run), CALLS)
+        write_cold = repeat_times(lambda: write_artifacts_cold(outdir, run), CALLS)
     return {
         "best_of": BEST_OF,
         **best_and_median("validate_check", passes),
@@ -187,6 +197,7 @@ def layer_timings() -> dict:
         ),
         **best_and_median("fock_per_call", {str(k): fock_timings(k) for k in FOCK_ORDERS}),
         **best_and_median("write_artifacts", write),
+        **best_and_median("write_artifacts_cold", write_cold),
         **best_and_median("cli_main", cli_main_times()),
     }
 

@@ -8,6 +8,7 @@ mirror and reports everything else above threshold as residual.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -214,12 +215,27 @@ def write_spectrum_csv(spec: PowerSpectrum, path) -> None:
 def _write_columns(path, header: str, x, y) -> None:
     """A header line, then one "x,y" row per element, each as %.17g.
 
-    All rows are formatted as one string, from the interleaved columns.
+    The x column repeats from run to run (times and bin frequencies depend
+    only on the sample count and rate), so its text is formatted once into
+    a template whose rows hold a %.17g slot for y; one % fills the slots.
+    Only the x text is cached, keyed on (header, x's bytes), and only the
+    last two templates are kept: one time column and one frequency column.
+    y is never cached; it is formatted on every call. Columns of unequal
+    length raise ValueError before the file is opened.
     """
-    rows = np.column_stack([x, y]).ravel().tolist()
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) != len(y):
+        raise ValueError(f"x has {len(x)} values but y has {len(y)}")
+    template = _row_template(header, x.tobytes())
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write("%.17g,%.17g\n" * len(x) % tuple(rows))
+        fh.write(template % tuple(y.tolist()))
+
+
+@functools.lru_cache(maxsize=2)
+def _row_template(header: str, x_bytes: bytes) -> str:
+    """header, then "<x as %.17g>,%.17g" rows for the float64 x in x_bytes."""
+    x = np.frombuffer(x_bytes).tolist()
+    return header + "\n" + "%.17g,%%.17g\n" * len(x) % tuple(x)
 
 
 def write_attribution_json(report: AttributionReport, path) -> None:

@@ -64,7 +64,8 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "CALLS", 1)
     layers = json.loads(json.dumps(bench.layer_timings()))
     timed = ("validate_check", "oracle_per_call", "oracle_batched_per_field",
-             "samples_per_call", "fock_per_call", "write_artifacts", "cli_main")
+             "samples_per_call", "fock_per_call", "write_artifacts", "write_artifacts_cold",
+             "cli_main")
     assert set(layers) == {"best_of", "oracle_fields"} | {
         f"{name}{suffix}" for name in timed for suffix in ("_s", "_median_s")
     }
@@ -94,6 +95,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         assert set(per_call) == {"fock.output_state", "fock.norm_series"}
     times = [
         layers["write_artifacts_s"],
+        layers["write_artifacts_cold_s"],
         layers["cli_main_s"],
         *layers["validate_check_s"].values(),
         *layers["oracle_per_call_s"].values(),

@@ -323,3 +323,97 @@ def test_csv_writers_match_a_per_row_writer(tmp_path, case, detector, model):
     assert (tmp_path / "spectrum.csv").read_bytes() == rows_by_loop(
         "freq_hz,power", spec.freqs, spec.power
     ).encode()
+
+
+def rows_by_column_stack(header, x, y):
+    """The writer before the x text was cached: every row formatted at once."""
+    rows = np.column_stack([x, y]).ravel().tolist()
+    return header + "\n" + "%.17g,%.17g\n" * len(x) % tuple(rows)
+
+
+def assert_csvs_match_both_references(outdir, ts, spec):
+    for name, header, x, y in (
+        ("timeseries.csv", "t,value", ts.times, ts.samples),
+        ("spectrum.csv", "freq_hz,power", spec.freqs, spec.power),
+    ):
+        written = (outdir / name).read_bytes()
+        assert written == rows_by_loop(header, x, y).encode(), name
+        assert written == rows_by_column_stack(header, x, y).encode(), name
+
+
+@pytest.mark.parametrize(
+    "overrides, samples",
+    [({"duration": 2.0}, 2048), ({"sample_rate": 3000.0}, 3000)],
+    ids=["duration-2", "rate-3000"],
+)
+def test_csv_writers_match_at_other_sample_counts(tmp_path, overrides, samples):
+    sc = standard_case("a").with_overrides(**overrides)
+    ts, spec, report = spectra.run(sc, "quad", "exact")
+    assert len(ts.samples) == samples and len(spec.freqs) == samples // 2 + 1
+    spectra.write_artifacts(tmp_path, ts, spec, report)
+    assert_csvs_match_both_references(tmp_path, ts, spec)
+
+
+SPECIAL_VALUES = [-0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  1.7976931348623157e308, 1 / 3, 0.0]
+
+
+def test_csv_writer_keeps_special_values(tmp_path):
+    freqs = np.array(SPECIAL_VALUES)
+    power = freqs[::-1].copy()
+    spec = spectra.PowerSpectrum(freqs, power, 1.0)
+    spectra.write_spectrum_csv(spec, tmp_path / "spectrum.csv")
+    text = (tmp_path / "spectrum.csv").read_text()
+    assert text == rows_by_loop("freq_hz,power", freqs, power)
+    assert text == rows_by_column_stack("freq_hz,power", freqs, power)
+    assert text.splitlines()[1:3] == ["-0,0", "inf,0.33333333333333331"]
+
+
+def test_equal_length_columns_get_their_own_x_text(tmp_path):
+    power = np.array([0.25, 0.5, 1.0, 2.0])
+    specs = [
+        spectra.PowerSpectrum(np.arange(4.0), power, 1.0),
+        spectra.PowerSpectrum(np.arange(4.0) / 3, power, 3.0),
+        # the same values as the first but a negative zero: other bytes
+        spectra.PowerSpectrum(np.array([-0.0, 1.0, 2.0, 3.0]), power, 1.0),
+    ]
+    for spec in specs + specs[::-1]:
+        spectra.write_spectrum_csv(spec, tmp_path / "spectrum.csv")
+        assert (tmp_path / "spectrum.csv").read_text() == rows_by_loop(
+            "freq_hz,power", spec.freqs, spec.power
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats()), max_size=20))
+def test_column_writer_matches_a_per_row_writer_on_any_floats(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("columns") / "columns.csv"
+    x, y = (np.array([r[k] for r in rows], dtype=float) for k in (0, 1))
+    spectra._write_columns(path, "x,y", x, y)
+    assert path.read_text() == rows_by_loop("x,y", x, y)
+
+
+def test_row_templates_are_bounded_and_reused_across_the_figure(tmp_path):
+    cache = spectra._row_template
+    assert cache.cache_info().maxsize == 2
+    combos = [(c, d, m) for c in "abc" for d in spectra.DETECTORS for m in spectra.MODELS]
+    runs = [spectra.run(standard_case(c), d, m) for c, d, m in combos]
+    spectra.write_artifacts(tmp_path / "first", *runs[0])
+    misses = cache.cache_info().misses
+    for k, run in enumerate(runs):
+        spectra.write_artifacts(tmp_path / str(k), *run)
+        assert_csvs_match_both_references(tmp_path / str(k), *run[:2])
+    info = cache.cache_info()
+    assert info.misses == misses and info.currsize <= 2
+
+
+@pytest.mark.parametrize("y_len", [4, 6], ids=["y-shorter", "y-longer"])
+def test_mismatched_columns_raise_before_the_file_is_opened(tmp_path, y_len):
+    spec = spectra.PowerSpectrum(np.arange(5.0), np.ones(y_len), 1.0)
+    missing, existing = tmp_path / "missing.csv", tmp_path / "existing.csv"
+    existing.write_bytes(b"freq_hz,power\n0,1\n")
+    for path in (missing, existing):
+        with pytest.raises(ValueError, match=f"x has 5 values but y has {y_len}"):
+            spectra.write_spectrum_csv(spec, path)
+    assert not missing.exists()
+    assert existing.read_bytes() == b"freq_hz,power\n0,1\n"
