@@ -20,8 +20,9 @@ wrapper and per field of each batched form; the beam engine, ``power_spectrum`` 
 template cache cleared before each call (``write_artifacts_cold``, the
 write of a one-shot ``nestedmzi spectrum`` process); and
 ``cli.main(["plan-check", "--case", "a"])`` with standard output
-discarded, the fixed cost of one in-process CLI call. Each layer ``<name>_s`` is the best of the repeats,
-and ``<name>_median_s`` next to it their median. It imports nestedmzi
+discarded, the fixed cost of one in-process CLI call. Each layer
+``<name>_s`` is the best of the repeats, and ``<name>_median_s`` next to
+it their median. It imports nestedmzi
 from ``src/`` of the same checkout, with one BLAS thread, as perfbench does.
 """
 from __future__ import annotations
