@@ -15,7 +15,9 @@ line. In this process it then times, in 5 repeats: each check of
 oracle check (``validate.oracle_fields``), per call of each scalar
 wrapper and per field of each batched form; the beam engine, ``power_spectrum`` and
 ``attribute_peaks`` on 1024 and 8192 samples of case a;
-``fock.output_state`` and ``norm_series`` at orders 4 and 12;
+``fock.output_state``, ``norm_series``, ``bcjlss_output_state`` and the
+projector probabilities of all five mirrors (``mode_projection_probability_x5``)
+at orders 4 and 12;
 ``spectra.write_artifacts`` of case a, warm and with the CSV row
 template cache cleared before each call (``write_artifacts_cold``, the
 write of a one-shot ``nestedmzi spectrum`` process); and
@@ -49,13 +51,14 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from nestedmzi import beam, cli, fock, spectra, validate  # noqa: E402
-from nestedmzi.scenario import standard_case  # noqa: E402
+from nestedmzi.scenario import MIRRORS, standard_case  # noqa: E402
 from run import THREAD_ENV, cpu_model, git_commit  # noqa: E402  (perfbench/run.py)
 
 SEED = 1
 BEST_OF = 5
 SAMPLE_COUNTS = (1024, 8192)  # samples of case a in one second
 FOCK_ORDERS = (4, 12)
+EPSILON = 0.01  # kick amplitude of the timed projector readout
 CALLS = 20  # calls per timed repeat of the layers below validate
 
 
@@ -151,7 +154,9 @@ def sample_layer_timings(samples: int) -> dict:
 
 
 def fock_timings(order: int) -> dict:
-    """Repeat times per call of the case-a output state and its norm series."""
+    """Repeat times per call of the case-a output state, its norm series,
+    its projector probabilities of all five mirrors (one call each, timed
+    together) and the case-a BCJLSS state."""
     sc = standard_case("a")
     state = fock.output_state(sc.phi, sc.kappa, order)
     return {
@@ -159,6 +164,13 @@ def fock_timings(order: int) -> dict:
             lambda: fock.output_state(sc.phi, sc.kappa, order), CALLS
         ),
         "fock.norm_series": repeat_times(lambda: fock.norm_series(state), CALLS),
+        "fock.mode_projection_probability_x5": repeat_times(
+            lambda: [fock.mode_projection_probability(state, m, EPSILON) for m in MIRRORS],
+            CALLS,
+        ),
+        "fock.bcjlss_output_state": repeat_times(
+            lambda: fock.bcjlss_output_state(sc.phi, sc.kappa, order), CALLS
+        ),
     }
 
 

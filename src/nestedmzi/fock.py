@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -32,20 +31,22 @@ from .series import EpsSeries, inv_sqrt_one_plus_sq
 # mirror is the highest bit, and row order is sorted-label order.
 _ROWS = np.arange(2 ** len(MIRRORS))
 _BIT = {m: 1 << (len(MIRRORS) - 1 - i) for i, m in enumerate(MIRRORS)}
+
+
+class _ByMirror(dict):
+    def __missing__(self, mirror):
+        raise ValueError(f"unknown mirror {mirror!r}")
+
+
 # Per mirror: (rows without its bit, the same rows with the bit set).
-_PAIRS = {
-    m: np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))
-    for m, b in _BIT.items()
-}
-# Per path of scenario.PATHS, per subset size k: the rows of the modes that
-# carry the bits of a k-mirror subset of the path's mirrors.
-_SUBSETS = [
-    [
-        np.array([sum(_BIT[m] for m in subset) for subset in combinations(path, k)])
-        for k in range(len(path) + 1)
-    ]
-    for path in PATHS
-]
+_PAIRS = _ByMirror(
+    (m, np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))) for m, b in _BIT.items()
+)
+# Per path of scenario.PATHS, per row: how many of the path's mirrors have
+# their bit set in the row, or -1 if it has the bit of a mirror off the path;
+# output_state adds 0 there, which leaves every bit of the sum as it was.
+_PATH_BITS = np.array([sum(_BIT[m] for m in path) for path in PATHS])[:, None]
+_SIZES = np.where(_ROWS & ~_PATH_BITS, -1, np.bitwise_count(_ROWS).astype(int))
 
 
 def _row(label: str) -> int:
@@ -114,8 +115,6 @@ def apply_mirror_kick(state: ModeState, mirror: str) -> ModeState:
     label that already carries the bit is a usage error, not a physical
     branch.
     """
-    if mirror not in _BIT:
-        raise ValueError(f"unknown mirror {mirror!r}")
     low, high = _PAIRS[mirror]
     if state.mask[high].any():
         raise ValueError(
@@ -151,13 +150,16 @@ def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
         powers.append(powers[-1] * stay)
     coeffs = np.zeros((len(_ROWS), order + 1), complex)
     mask = np.zeros(len(_ROWS), bool)
-    for weight, mirrors, subsets in zip(path_weights(phi, kappa), PATHS, _SUBSETS):
+    for weight, mirrors, sizes in zip(path_weights(phi, kappa), PATHS, _SIZES):
         if weight == 0:
             continue
         base = np.array(powers[len(mirrors) - 1].coeffs) * (weight / 3.0)
-        for size, rows in enumerate(subsets):
-            coeffs[rows, size:] += base[: max(order + 1 - size, 0)]
-            mask[rows] = True
+        # row k is base moved k powers of eps up; the last row, read at -1, is 0
+        shifted = np.zeros((len(mirrors) + 2, order + 1), complex)
+        for k in range(min(len(mirrors), order) + 1):
+            shifted[k, k:] = base[: order + 1 - k]
+        coeffs += shifted[sizes]
+        mask |= sizes >= 0
     return ModeState._of(coeffs, mask)
 
 
@@ -203,7 +205,7 @@ def norm_series(state: ModeState) -> EpsSeries:
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
     values = state.coeffs[_PAIRS[mirror][1]] @ epsilon ** np.arange(state.order + 1)
-    return float(np.sum(np.abs(values) ** 2))
+    return float((np.abs(values) ** 2).sum())
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
@@ -217,12 +219,10 @@ def projection_leading_coeff(state: ModeState, mirror: str) -> float:
     if state.order < 2:
         raise ValueError(f"the eps^2 coefficient needs order >= 2, got {state.order}")
     c = state.coeffs[_PAIRS[mirror][1]]
-    return float(np.sum(c[:, :3] * c[:, 2::-1].conj()).real)
+    return float((c[:, :3] * c[:, 2::-1].conj()).sum().real)
 
 
-def probability_table(
-    phi: float, kappa: float, epsilon: float, order: int = 4
-) -> dict:
+def probability_table(phi: float, kappa: float, epsilon: float, order: int = 4) -> dict:
     """Projector probabilities for every mirror plus the zero mode."""
     state = output_state(phi, kappa, order)
     table = {m: mode_projection_probability(state, m, epsilon) for m in MIRRORS}
@@ -237,14 +237,14 @@ def case_probability_table(case_id: str, epsilon: float) -> dict:
 
 
 def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
-    """Three-term output state used by BCJLSS (eps-independent coefficients)."""
-    amps = {
-        "01011": EpsSeries.const(-1.0 / 3.0, order),
-        "10011": EpsSeries.const(cmath.exp(1j * phi) / 3.0, order),
-    }
+    """Three-term output state used by BCJLSS (eps-independent coefficients):
+    -1/3 on "01011", e^{i phi}/3 on "10011", kappa/3 on "00100" unless 0."""
+    coeffs, mask = np.zeros((len(_ROWS), order + 1), complex), np.zeros(len(_ROWS), bool)
+    coeffs[0b01011, 0], coeffs[0b10011, 0] = -1.0 / 3.0, cmath.exp(1j * phi) / 3.0
+    mask[0b01011] = mask[0b10011] = True
     if kappa != 0:
-        amps["00100"] = EpsSeries.const(kappa / 3.0, order)
-    return ModeState(amps)
+        coeffs[0b00100, 0], mask[0b00100] = kappa / 3.0, True
+    return ModeState._of(coeffs, mask)
 
 
 def bcjlss_witness(state: ModeState, mirror: str) -> float:
@@ -254,7 +254,7 @@ def bcjlss_witness(state: ModeState, mirror: str) -> float:
     squaring. Kept unnormalized exactly as defined (the post-selected ket
     has norm 4, not 1).
     """
-    return float(abs(np.sum(state.coeffs[_PAIRS[mirror][1], 0])) ** 2)
+    return float(abs(state.coeffs[_PAIRS[mirror][1], 0].sum()) ** 2)
 
 
 # -- transcription comparison -------------------------------------------

@@ -92,7 +92,10 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         }
     assert set(layers["fock_per_call_s"]) == {"4", "12"}
     for per_call in layers["fock_per_call_s"].values():
-        assert set(per_call) == {"fock.output_state", "fock.norm_series"}
+        assert set(per_call) == {
+            "fock.output_state", "fock.norm_series",
+            "fock.mode_projection_probability_x5", "fock.bcjlss_output_state",
+        }
     times = [
         layers["write_artifacts_s"],
         layers["write_artifacts_cold_s"],

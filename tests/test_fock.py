@@ -87,6 +87,22 @@ def test_kick_rejects_set_bit():
         apply_mirror_kick(st, "C")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda st: apply_mirror_kick(st, "Z"),
+        lambda st: mode_projection_probability(st, "Z", 0.01),
+        lambda st: projection_leading_coeff(st, "Z"),
+        lambda st: bcjlss_witness(st, "Z"),
+    ],
+    ids=["apply_mirror_kick", "mode_projection_probability", "projection_leading_coeff",
+         "bcjlss_witness"],
+)
+def test_an_unknown_mirror_is_a_value_error(call):
+    with pytest.raises(ValueError, match="unknown mirror 'Z'"):
+        call(output_state(1.0, 1.0))
+
+
 def test_kick_preserves_norm_series():
     st = ModeState(
         {"00000": EpsSeries.const(0.6 + 0.2j, 6), "01000": EpsSeries.monomial(1j, 1, 6)}
@@ -305,6 +321,23 @@ def test_bcjlss_state_terms():
     assert "00100" not in bcjlss_output_state(0.7, 0.0).amplitudes
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_bcjlss_state_is_the_series_form_bit_for_bit(kappa):
+    # The state as ModeState builds it from one EpsSeries.const per label.
+    for phi in np.linspace(0.0, 2 * math.pi, 25):
+        for order in range(3, 13):
+            amps = {
+                "01011": EpsSeries.const(-1.0 / 3.0, order),
+                "10011": EpsSeries.const(cmath.exp(1j * phi) / 3.0, order),
+            }
+            if kappa != 0:
+                amps["00100"] = EpsSeries.const(kappa / 3.0, order)
+            want, got = ModeState(amps), bcjlss_output_state(phi, kappa, order)
+            assert np.array_equal(got.coeffs.view(np.uint64), want.coeffs.view(np.uint64))
+            assert np.array_equal(got.mask, want.mask)
+            assert got.support() == want.support()
+
+
 def _witness_oracle(state, mirror, eps=0.0):
     """Coherent sum via explicit 16-ket post-selected vector."""
     idx = MIRRORS.index(mirror)
@@ -432,7 +465,7 @@ def kick_enumeration(phi, kappa, order):
 @pytest.mark.parametrize("kappa", [0.0, 1.0])
 @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2, 2.5, math.pi, 5.1])
 def test_output_state_is_the_kick_enumeration(phi, kappa):
-    for order in range(3, 21):
+    for order in range(0, 21):
         state = output_state(phi, kappa, order)
         coeffs, mask = kick_enumeration(phi, kappa, order)
         assert np.max(np.abs(state.coeffs - coeffs)) <= 1e-15
