@@ -12,19 +12,17 @@ from pathlib import Path
 
 from nestedmzi import spectra
 from nestedmzi.cli import guard_stdout
-from nestedmzi.scenario import MIRRORS, standard_case
+from nestedmzi.scenario import standard_case
 
 
 def run_case(case, detector, model, outdir):
     ts, spec, report = spectra.run(standard_case(case), detector, model)
     spectra.write_artifacts(outdir, ts, spec, report)
 
-    bars = report.normalized_bars()
     print(f"case ({case})  detector={detector}  model={model}")
-    for m in MIRRORS:
-        if m in bars:
-            bar = "#" * int(round(40 * bars[m]))
-            print(f"  {m}  {bars[m]:8.4f}  {bar}")
+    for m, value in report.normalized_bars().items():
+        bar = "#" * int(round(40 * value))
+        print(f"  {m}  {value:8.4f}  {bar}")
     print()
 
 

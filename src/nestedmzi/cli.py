@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import fock, spectra, validate
@@ -57,18 +56,18 @@ def _read_scenario_file(path: str) -> Scenario:
 def build_scenario(args) -> Scenario:
     """Precedence: flags > scenario file > standard-case defaults."""
     sc = standard_case(args.case)
-    if getattr(args, "scenario_file", None):
+    if args.scenario_file:
         sc = _read_scenario_file(args.scenario_file)
     overrides = {}
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         sc = sc.with_epsilon(args.epsilon)
-    if getattr(args, "duration", None) is not None:
+    if args.duration is not None:
         overrides["duration"] = args.duration
-    if getattr(args, "rate", None) is not None:
+    if args.rate is not None:
         overrides["sample_rate"] = args.rate
-    if getattr(args, "order", None) is not None:
+    if getattr(args, "order", None) is not None:  # fock's flag alone
         overrides["series_order"] = args.order
-    freq = _parse_freq_overrides(getattr(args, "freq", None))
+    freq = _parse_freq_overrides(args.freq)
     if freq:
         overrides["mirror_freq"] = {**sc.mirror_freq, **freq}
     if overrides:
@@ -90,34 +89,23 @@ def _add_scenario_flags(p):
 def cmd_fock(args) -> int:
     sc = build_scenario(args)
     order = sc.series_order
-
-    def projector_table():
-        return fock.probability_table(sc.phi, sc.kappa, sc.epsilon, order)
-
-    def bcjlss_table():
+    payload = {}
+    if args.compare or args.procedure == "projector":
+        payload["projector"] = fock.probability_table(sc.phi, sc.kappa, sc.epsilon, order)
+    if args.compare or args.procedure == "bcjlss":
         state = fock.bcjlss_output_state(sc.phi, sc.kappa, order)
-        return {m: fock.bcjlss_witness(state, m) for m in MIRRORS}
-
+        payload["bcjlss"] = {m: fock.bcjlss_witness(state, m) for m in MIRRORS}
     if args.compare:
-        proj = projector_table()
-        wit = bcjlss_table()
-        ratio = {
-            m: (proj[m] / wit[m] if wit[m] else float("nan")) for m in MIRRORS
-        }
-        payload = {"projector": proj, "bcjlss": wit, "ratio": ratio}
-    elif args.procedure == "projector":
-        payload = {"projector": projector_table()}
-    else:
-        payload = {"bcjlss": bcjlss_table()}
+        proj, wit = payload["projector"], payload["bcjlss"]
+        payload["ratio"] = {m: proj[m] / w if w else float("nan") for m, w in wit.items()}
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for name, table in payload.items():
             print(f"[{name}]")
-            for key in (*MIRRORS, "zero"):
-                if key in table:
-                    print(f"  {key:>4}  {table[key]:.12e}")
+            for key, value in table.items():
+                print(f"  {key:>4}  {value:.12e}")
     return 0
 
 
@@ -126,11 +114,7 @@ def cmd_spectrum(args) -> int:
     outdir = Path(args.out)
     existing = [str(outdir / a) for a in spectra.ARTIFACTS if (outdir / a).exists()]
     if existing and not args.force:
-        print(
-            f"error: refusing to overwrite {existing}; pass --force to allow",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"refusing to overwrite {existing}; pass --force to allow")
 
     ts, spec, report = spectra.run(sc, args.detector, args.model)
     try:
@@ -138,11 +122,10 @@ def cmd_spectrum(args) -> int:
     except OSError as exc:
         _usage_error(f"cannot write --out {outdir}: {exc.strerror or exc}")
 
-    bars = report.normalized_bars()
-    print(f"case {args.case}, detector {args.detector}, model {args.model}")
-    for m in MIRRORS:
-        if m in bars:
-            print(f"  {m}  {bars[m]:.6f}")
+    source = f"scenario file {args.scenario_file}" if args.scenario_file else f"case {args.case}"
+    print(f"{source}, detector {args.detector}, model {args.model}")
+    for m, bar in report.normalized_bars().items():
+        print(f"  {m}  {bar:.6f}")
     if report.note:
         print(f"  note: {report.note}")
     print(f"wrote {len(spectra.ARTIFACTS)} files to {outdir}")
@@ -163,7 +146,6 @@ def cmd_plan_check(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    start = time.perf_counter()
     results = validate.run_all()
     failed = [r for r in results if not r.passed]
     if args.json:
@@ -172,8 +154,8 @@ def cmd_validate(args) -> int:
         for r in results:
             tag = "PASS" if r.passed else "FAIL"
             print(f"[{tag}] {r.name}: {r.detail}")
-        elapsed = time.perf_counter() - start
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {elapsed:.1f}s")
+        seconds = sum(r.seconds for r in results)
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {seconds:.1f}s")
     return 1 if failed else 0
 
 

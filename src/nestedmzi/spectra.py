@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beam
-from .scenario import DETECTOR_BINS, MIRRORS, Scenario, check_frequency_plan, tone_catalogue
+from .scenario import DETECTOR_BINS, Scenario, check_frequency_plan, tone_catalogue
 
 RESIDUAL_THRESHOLD = 1e-3
 
@@ -245,9 +245,7 @@ def write_attribution_json(report: AttributionReport, path) -> None:
 
 
 def write_bars_csv(report: AttributionReport, path) -> None:
-    bars = report.normalized_bars()
     with open(path, "w") as fh:
         fh.write("mirror,attributed_power\n")
-        for m in MIRRORS:
-            if m in bars:
-                fh.write(f"{m},{bars[m]:.17g}\n")
+        for m, bar in report.normalized_bars().items():
+            fh.write(f"{m},{bar:.17g}\n")

@@ -9,7 +9,7 @@ import pytest
 
 from nestedmzi import cli, spectra, validate
 from nestedmzi.cli import main
-from nestedmzi.scenario import standard_case
+from nestedmzi.scenario import MIRRORS, standard_case
 
 
 def run(capsys, *argv):
@@ -67,6 +67,26 @@ def test_fock_text_output(capsys):
     assert code == 0
     assert "[projector]" in out
     assert "zero" in out
+
+
+def test_fock_text_rows_follow_the_json_tables(capsys):
+    rows = {"projector": (*MIRRORS, "zero"), "bcjlss": MIRRORS, "ratio": MIRRORS}
+    for argv, names in (
+        (("--compare",), ("projector", "bcjlss", "ratio")),
+        (("--procedure", "bcjlss"), ("bcjlss",)),
+        (("--procedure", "projector"), ("projector",)),
+    ):
+        code, text, _ = run(capsys, "fock", "--case", "c", *argv)
+        assert code == 0
+        code, out, _ = run(capsys, "fock", "--case", "c", *argv, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert sorted(payload) == sorted(names)
+        want = []
+        for name in names:
+            want.append(f"[{name}]")
+            want += [f"  {key:>4}  {payload[name][key]:.12e}" for key in rows[name]]
+        assert text.splitlines() == want
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -311,6 +331,29 @@ def test_epsilon_flag_keeps_mirrors_at_rest(tmp_path, capsys):
     assert code == 0
     bars = json.loads((tmp_path / "run" / "attribution.json").read_text())["mirror"]
     assert sorted(bars) == ["A", "C", "E", "F"]
+
+
+def test_spectrum_names_its_scenario_file_and_prints_bars_in_mirrors_order(tmp_path, capsys):
+    case_a = standard_case("a")
+    amps = {**case_a.vib_amplitude, "A": 0.0, "C": 0.0}
+    path = tmp_path / "rest_a_c.json"
+    path.write_text(case_a.with_overrides(phi=0.5, vib_amplitude=amps).to_json())
+    out_dir = tmp_path / "run"
+    # --case is ignored once a file is given, so the header names the file.
+    code, out, _ = run(
+        capsys, "spectrum", "--case", "b", "--scenario-file", str(path),
+        "--detector", "quad", "--out", str(out_dir),
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"scenario file {path}, detector quad, model exact"
+    assert [line.split()[0] for line in lines[1:4]] == ["B", "E", "F"]
+    assert lines[4] == f"wrote 4 files to {out_dir}"
+    rows = (out_dir / "bars.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["B", "E", "F"]
+    code, out, _ = run(capsys, "spectrum", "--case", "b", "--out", str(tmp_path / "b"))
+    assert code == 0
+    assert out.splitlines()[0] == "case b, detector total, model exact"
 
 
 def test_fock_scenario_file_phi_is_honoured(tmp_path, capsys):

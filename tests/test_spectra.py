@@ -168,6 +168,20 @@ def test_attribution_skips_inactive_mirrors():
     assert set(report.mirrors) == {"A"}
 
 
+@pytest.mark.parametrize("detector", spectra.DETECTORS)
+@pytest.mark.parametrize("at_rest", [(), ("A",), ("F",), ("A", "C"), ("B", "E")])
+def test_report_lists_the_active_mirrors_in_mirrors_order(detector, at_rest):
+    # The CLI, bars.csv and reproduce_fig1.py print the report in this order.
+    case_a = standard_case("a")
+    sc = case_a.with_overrides(
+        vib_amplitude={**case_a.vib_amplitude, **dict.fromkeys(at_rest, 0.0)}
+    )
+    _, _, report = spectra.run(sc, detector)
+    active = [m for m in MIRRORS if m not in at_rest]
+    assert list(report.mirrors) == active
+    assert list(report.normalized_bars()) == active
+
+
 # -- detector sampling ---------------------------------------------------
 
 
