@@ -29,13 +29,11 @@ def run_case(case, detector, model, outdir):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="out/fig1", help="output directory root")
-    ap.add_argument("--detector", choices=["total", "quad", "both"], default="both")
     args = ap.parse_args()
 
-    detectors = ["total", "quad"] if args.detector == "both" else [args.detector]
     root = Path(args.out)
     for case in "abc":
-        for det in detectors:
+        for det in spectra.DETECTORS:
             run_case(case, det, "exact", root / f"case_{case}_{det}_exact")
     # the linearized quad-cell signal for case (c) is identically zero --
     # the disagreement the exact model exposes

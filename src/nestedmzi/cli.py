@@ -54,10 +54,13 @@ def _read_scenario_file(path: str) -> Scenario:
 
 
 def build_scenario(args) -> Scenario:
-    """Precedence: flags > scenario file > standard-case defaults."""
-    sc = standard_case(args.case)
+    """The scenario file if one is given, else the standard case; flags override it."""
     if args.scenario_file:
         sc = _read_scenario_file(args.scenario_file)
+    elif args.case:
+        sc = standard_case(args.case)
+    else:
+        _usage_error("one of --case or --scenario-file is required")
     overrides = {}
     if args.epsilon is not None:
         sc = sc.with_epsilon(args.epsilon)
@@ -76,7 +79,7 @@ def build_scenario(args) -> Scenario:
 
 
 def _add_scenario_flags(p):
-    p.add_argument("--case", choices=["a", "b", "c"], required=True)
+    p.add_argument("--case", choices=["a", "b", "c"], help="ignored with --scenario-file")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--rate", type=float, default=None)
@@ -97,7 +100,7 @@ def cmd_fock(args) -> int:
         payload["bcjlss"] = {m: fock.bcjlss_witness(state, m) for m in MIRRORS}
     if args.compare:
         proj, wit = payload["projector"], payload["bcjlss"]
-        payload["ratio"] = {m: proj[m] / w if w else float("nan") for m, w in wit.items()}
+        payload["ratio"] = {m: proj[m] / w if w else None for m, w in wit.items()}
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -105,7 +108,7 @@ def cmd_fock(args) -> int:
         for name, table in payload.items():
             print(f"[{name}]")
             for key, value in table.items():
-                print(f"  {key:>4}  {value:.12e}")
+                print(f"  {key:>4}  {float('nan') if value is None else value:.12e}")
     return 0
 
 
@@ -154,8 +157,8 @@ def cmd_validate(args) -> int:
         for r in results:
             tag = "PASS" if r.passed else "FAIL"
             print(f"[{tag}] {r.name}: {r.detail}")
-        seconds = sum(r.seconds for r in results)
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {seconds:.1f}s")
+        ms = 1e3 * sum(r.seconds for r in results)
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed in {ms:.1f} ms")
     return 1 if failed else 0
 
 

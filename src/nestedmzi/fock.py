@@ -42,11 +42,11 @@ class _ByMirror(dict):
 _PAIRS = _ByMirror(
     (m, np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))) for m, b in _BIT.items()
 )
-# Per path of scenario.PATHS, per row: how many of the path's mirrors have
-# their bit set in the row, or -1 if it has the bit of a mirror off the path;
-# output_state adds 0 there, which leaves every bit of the sum as it was.
-_PATH_BITS = np.array([sum(_BIT[m] for m in path) for path in PATHS])[:, None]
-_SIZES = np.where(_ROWS & ~_PATH_BITS, -1, np.bitwise_count(_ROWS).astype(int))
+# Per path of scenario.PATHS: the row of the mode of all its mirrors, and per
+# row, how many of its mirrors have their bit set there, or -1 if the row has
+# the bit of a mirror off the path (output_state adds 0 there, bit for bit).
+_PATH_BITS = [sum(_BIT[m] for m in path) for path in PATHS]
+_SIZES = np.where(_ROWS & ~np.array(_PATH_BITS)[:, None], -1, np.bitwise_count(_ROWS).astype(int))
 
 
 def _row(label: str) -> int:
@@ -237,13 +237,12 @@ def case_probability_table(case_id: str, epsilon: float) -> dict:
 
 
 def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
-    """Three-term output state used by BCJLSS (eps-independent coefficients):
-    -1/3 on "01011", e^{i phi}/3 on "10011", kappa/3 on "00100" unless 0."""
+    """BCJLSS's eps-independent state: a path of weight w (scenario.path_weights)
+    puts w/3 at eps^0 on the mode of all its mirrors, none if w = 0 (as output_state)."""
     coeffs, mask = np.zeros((len(_ROWS), order + 1), complex), np.zeros(len(_ROWS), bool)
-    coeffs[0b01011, 0], coeffs[0b10011, 0] = -1.0 / 3.0, cmath.exp(1j * phi) / 3.0
-    mask[0b01011] = mask[0b10011] = True
-    if kappa != 0:
-        coeffs[0b00100, 0], mask[0b00100] = kappa / 3.0, True
+    for weight, row in zip(path_weights(phi, kappa), _PATH_BITS):
+        if weight != 0:
+            coeffs[row, 0], mask[row] = weight / 3.0, True
     return ModeState._of(coeffs, mask)
 
 

@@ -78,10 +78,7 @@ class AttributionReport:
 
     def to_dict(self) -> dict:
         return {
-            "mirror": {
-                m: {"freq": v["freq"], "power": v["power"]}
-                for m, v in self.mirrors.items()
-            },
+            "mirror": {m: dict(v) for m, v in self.mirrors.items()},
             "residual": [[f, p] for f, p in self.residual],
             "detector": self.detector,
             "model": self.model,
@@ -106,14 +103,13 @@ def sample_detector(
     scenario: Scenario, detector: str = "total", model: str = "exact"
 ) -> TimeSeries:
     """Evaluate the chosen detector at t_n = n / sample_rate (DC retained)."""
-    if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}")
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}")
+    if (engine := _ENGINES.get((detector, model))) is None:
+        raise ValueError(f"no engine for detector {detector!r}, model {model!r}: "
+                         f"detectors are {DETECTORS}, models {MODELS}")
     n = int(round(scenario.sample_rate * scenario.duration))
     coeffs = beam.path_coefficients(scenario)
     shifts = beam.path_shifts(scenario, np.arange(n) / scenario.sample_rate)
-    out = _ENGINES[detector, model](coeffs, shifts)
+    out = engine(coeffs, shifts)
     return TimeSeries(out, scenario.sample_rate, scenario.duration)
 
 

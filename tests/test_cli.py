@@ -85,8 +85,30 @@ def test_fock_text_rows_follow_the_json_tables(capsys):
         want = []
         for name in names:
             want.append(f"[{name}]")
-            want += [f"  {key:>4}  {payload[name][key]:.12e}" for key in rows[name]]
+            # an undefined ratio is null in JSON and nan in text
+            values = [payload[name][key] for key in rows[name]]
+            values = [float("nan") if v is None else v for v in values]
+            want += [f"  {key:>4}  {v:.12e}" for key, v in zip(rows[name], values)]
         assert text.splitlines() == want
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON (RFC 8259)."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("case, undefined", [("b", ["E", "F"]), ("c", ["C", "E", "F"])])
+def test_fock_compare_json_is_strict_with_null_undefined_ratios(capsys, case, undefined):
+    code, out, _ = run(capsys, "fock", "--case", case, "--compare", "--json")
+    assert code == 0
+    payload = _strict_json(out)
+    assert [m for m, w in payload["bcjlss"].items() if w == 0] == undefined
+    assert [m for m, r in payload["ratio"].items() if r is None] == undefined
+    code, text, _ = run(capsys, "fock", "--case", case, "--compare")
+    ratio_rows = text.split("[ratio]\n")[1].splitlines()
+    assert [row.split()[0] for row in ratio_rows if row.split()[1] == "nan"] == undefined
 
 
 def test_unknown_flag_usage_error(capsys):
@@ -252,7 +274,16 @@ def test_validate_json_lists_the_text_results(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[:-1] == [f"[PASS] {r['name']}: {r['detail']}" for r in results]
-    assert re.fullmatch(r"13/13 checks passed in \d+\.\ds", lines[-1])
+    assert re.fullmatch(r"13/13 checks passed in \d+\.\d ms", lines[-1])
+
+
+def test_validate_summary_gives_the_summed_check_times_in_ms(capsys, monkeypatch):
+    results = [validate.CheckResult("one", True, "ok", 0.0042),
+               validate.CheckResult("two", False, "off", 0.0027)]
+    monkeypatch.setattr(validate, "run_all", lambda: results)
+    code, out, _ = run(capsys, "validate")
+    assert code == 1
+    assert out.splitlines()[-1] == "1/2 checks passed in 6.9 ms"
 
 
 def test_validate_json_exits_one_on_a_failed_check(capsys, monkeypatch):
@@ -354,6 +385,38 @@ def test_spectrum_names_its_scenario_file_and_prints_bars_in_mirrors_order(tmp_p
     code, out, _ = run(capsys, "spectrum", "--case", "b", "--out", str(tmp_path / "b"))
     assert code == 0
     assert out.splitlines()[0] == "case b, detector total, model exact"
+
+
+@pytest.mark.parametrize("argv", [
+    ("fock", "--compare"),
+    ("fock", "--procedure", "bcjlss", "--json"),
+    ("spectrum", "--detector", "quad", "--force"),
+    ("plan-check",),
+])
+def test_a_scenario_file_needs_no_case(tmp_path, capsys, argv):
+    path = tmp_path / "scenario.json"
+    path.write_text(standard_case("b").with_overrides(phi=0.5, kappa=0.0).to_json())
+    out_dir = tmp_path / "run"
+    extra = ("--out", str(out_dir)) if argv[0] == "spectrum" else ()
+    runs = []
+    for case in ((), ("--case", "a")):
+        code, out, err = run(capsys, *argv, *case, "--scenario-file", str(path), *extra)
+        files = {a: (out_dir / a).read_bytes() for a in spectra.ARTIFACTS} if extra else {}
+        runs.append((code, out, err, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
+
+
+@pytest.mark.parametrize("command", ["fock", "spectrum", "plan-check"])
+def test_neither_case_nor_scenario_file_is_a_usage_error(tmp_path, capsys, command):
+    extra = ("--out", str(tmp_path / "run")) if command == "spectrum" else ()
+    with pytest.raises(SystemExit) as exc:
+        main([command, *extra])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: one of --case or --scenario-file is required\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_fock_scenario_file_phi_is_honoured(tmp_path, capsys):

@@ -338,6 +338,22 @@ def test_bcjlss_state_is_the_series_form_bit_for_bit(kappa):
             assert got.support() == want.support()
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0])
+def test_bcjlss_amplitudes_are_the_output_state_full_label_coefficients(kappa):
+    # A path through the mirrors M reaches the mode of all of M at eps^|M|
+    # in output_state; BCJLSS puts the same amplitude there at eps^0.
+    labels = ["".join("1" if m in path else "0" for m in MIRRORS) for path in PATHS]
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        phi, order = float(rng.uniform(0.0, 2 * math.pi)), int(rng.integers(3, 13))
+        bcjlss, full = bcjlss_output_state(phi, kappa, order), output_state(phi, kappa, order)
+        for path, label in zip(PATHS, labels):
+            assert bcjlss.amplitude(label).coeffs[0] == full.amplitude(label).coeffs[len(path)]
+        weights = path_weights(phi, kappa)
+        assert bcjlss.support() == sorted(lab for lab, w in zip(labels, weights) if w != 0)
+        assert ("00100" in bcjlss.support()) == ("00100" in full.support()) == (kappa != 0)
+
+
 def _witness_oracle(state, mirror, eps=0.0):
     """Coherent sum via explicit 16-ket post-selected vector."""
     idx = MIRRORS.index(mirror)

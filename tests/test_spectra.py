@@ -287,6 +287,28 @@ def test_attribution_records_model():
     assert report.to_dict()["model"] == "linearized"
 
 
+@pytest.mark.parametrize("detector, model", [
+    ("intensity", "exact"), ("quad", "quadratic"), ("intensity", "quadratic"),
+])
+def test_an_unknown_detector_or_model_is_a_value_error(detector, model):
+    sc = standard_case("a")
+    for call in (sample_detector, spectra.run):
+        with pytest.raises(ValueError) as exc:
+            call(sc, detector, model)
+        message = str(exc.value)
+        assert f"detector {detector!r}, model {model!r}" in message
+        assert str(spectra.DETECTORS) in message and str(spectra.MODELS) in message
+
+
+def test_to_dict_copies_each_attributed_entry():
+    sc = standard_case("a")
+    report = spectra.run(sc, "total", "exact")[2]
+    mirrors = report.to_dict()["mirror"]
+    assert mirrors == report.mirrors
+    mirrors["C"]["power"] = -1.0
+    assert report.mirrors["C"]["power"] > 0
+
+
 def test_run_chains_sample_spectrum_and_attribution():
     sc = standard_case("c")
     ts, spec, report = spectra.run(sc, "quad", "exact")
