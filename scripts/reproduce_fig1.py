@@ -4,7 +4,8 @@
 Runs the exact total-intensity model for cases a, b, c (and the quad-cell
 detector for comparison), writes the CSV/JSON artifacts under out/, and
 prints normalized bar tables to stdout. Like the nestedmzi CLI, it exits
-with status 141 when the reader of stdout goes away early.
+with status 141 when the reader of stdout goes away early, and with status 2
+and one error line when it cannot write a directory under --out.
 """
 import argparse
 import sys
@@ -17,7 +18,11 @@ from nestedmzi.scenario import standard_case
 
 def run_case(case, detector, model, outdir):
     ts, spec, report = spectra.run(standard_case(case), detector, model)
-    spectra.write_artifacts(outdir, ts, spec, report)
+    try:
+        spectra.write_artifacts(outdir, ts, spec, report)
+    except OSError as exc:
+        print(f"error: cannot write --out {outdir}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
     print(f"case ({case})  detector={detector}  model={model}")
     for m, value in report.normalized_bars().items():

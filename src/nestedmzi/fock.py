@@ -20,6 +20,7 @@ otherwise, which is the crux of the dispute the models reproduce.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class _ByMirror(dict):
 _PAIRS = _ByMirror(
     (m, np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))) for m, b in _BIT.items()
 )
+# The rows with each mirror's bit in MIRRORS order (for the witness sums), and each one's index.
+_HIGH = np.stack([_PAIRS[m][1] for m in MIRRORS])
+_INDEX = _ByMirror((m, i) for i, m in enumerate(MIRRORS))
 # Per path of scenario.PATHS: the row of the mode of all its mirrors, and per
 # row, how many of its mirrors have their bit set there, or -1 if the row has
 # the bit of a mirror off the path (output_state adds 0 there, bit for bit).
@@ -65,26 +69,46 @@ class ModeState:
     ``coeffs[i]`` holds the series coefficients of the mode in row i and
     ``mask[i]`` marks it populated. The mask is not derived from the
     coefficients: a populated mode may cancel to an all-zero series.
+    Both arrays are read-only, so the readouts' memos of them stay valid.
     """
 
-    __slots__ = ("coeffs", "mask")
+    __slots__ = ("coeffs", "mask", "_probs", "_sums")
 
     def __init__(self, amplitudes: dict):
         rows = [_row(label) for label in amplitudes]
         orders = {s.order for s in amplitudes.values()}
         if len(orders) > 1:
             raise ValueError("mixed series orders in one state")
-        self.coeffs = np.zeros((len(_ROWS), max(orders, default=0) + 1), complex)
+        coeffs = np.zeros((len(_ROWS), max(orders, default=0) + 1), complex)
         for row, s in zip(rows, amplitudes.values()):
-            self.coeffs[row] = s.coeffs
-        self.mask = np.zeros(len(_ROWS), bool)
-        self.mask[rows] = True
+            coeffs[row] = s.coeffs
+        mask = np.zeros(len(_ROWS), bool)
+        mask[rows] = True
+        self._set(coeffs, mask)
 
     @classmethod
     def _of(cls, coeffs: np.ndarray, mask: np.ndarray) -> "ModeState":
-        state = cls.__new__(cls)
-        state.coeffs, state.mask = coeffs, mask
-        return state
+        return cls.__new__(cls)._set(coeffs, mask)
+
+    def _set(self, coeffs: np.ndarray, mask: np.ndarray) -> "ModeState":
+        coeffs.setflags(write=False)
+        mask.setflags(write=False)
+        self.coeffs, self.mask, self._probs, self._sums = coeffs, mask, None, None
+        return self
+
+    def _probabilities(self, epsilon: float) -> np.ndarray:
+        """|amplitude|^2 of every row at epsilon; kept for the last epsilon."""
+        memo = self._probs
+        if memo is None or memo[0] != epsilon:
+            probs = np.abs(self.coeffs @ epsilon ** np.arange(self.order + 1)) ** 2
+            probs.setflags(write=False)
+            memo = self._probs = (epsilon, probs)
+        return memo[1]
+
+    def _bit_sums(self) -> np.ndarray:
+        if self._sums is None:
+            self._sums = self.coeffs[_HIGH, 0].sum(axis=1)
+        return self._sums
 
     @property
     def order(self) -> int:
@@ -150,17 +174,24 @@ def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
         powers.append(powers[-1] * stay)
     coeffs = np.zeros((len(_ROWS), order + 1), complex)
     mask = np.zeros(len(_ROWS), bool)
-    for weight, mirrors, sizes in zip(path_weights(phi, kappa), PATHS, _SIZES):
+    paths = zip(path_weights(phi, kappa), PATHS, _SIZES, _gathers(order))
+    for weight, mirrors, sizes, gather in paths:
         if weight == 0:
             continue
-        base = np.array(powers[len(mirrors) - 1].coeffs) * (weight / 3.0)
-        # row k is base moved k powers of eps up; the last row, read at -1, is 0
-        shifted = np.zeros((len(mirrors) + 2, order + 1), complex)
-        for k in range(min(len(mirrors), order) + 1):
-            shifted[k, k:] = base[: order + 1 - k]
-        coeffs += shifted[sizes]
+        padded = np.zeros(order + 2, complex)
+        np.multiply(powers[len(mirrors) - 1].coeffs, weight / 3.0, out=padded[:-1])
+        coeffs += padded[gather]
         mask |= sizes >= 0
     return ModeState._of(coeffs, mask)
+
+
+@functools.lru_cache(maxsize=16)
+def _gathers(order: int) -> np.ndarray:
+    """[path, row, j]: where the path's series is read for eps^j of the row; order + 1 reads 0."""
+    sizes, j = np.where(_SIZES < 0, order + 1, _SIZES)[:, :, None], np.arange(order + 1)
+    table = np.where(j >= sizes, j - sizes, order + 1)
+    table.setflags(write=False)
+    return table
 
 
 def reference_output_state(phi: float, order: int = 4) -> ModeState:
@@ -204,8 +235,7 @@ def norm_series(state: ModeState) -> EpsSeries:
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
-    values = state.coeffs[_PAIRS[mirror][1]] @ epsilon ** np.arange(state.order + 1)
-    return float((np.abs(values) ** 2).sum())
+    return float(state._probabilities(epsilon)[_PAIRS[mirror][1]].sum())
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
@@ -253,7 +283,7 @@ def bcjlss_witness(state: ModeState, mirror: str) -> float:
     squaring. Kept unnormalized exactly as defined (the post-selected ket
     has norm 4, not 1).
     """
-    return float(abs(state.coeffs[_PAIRS[mirror][1], 0].sum()) ** 2)
+    return float(abs(state._bit_sums()[_INDEX[mirror]]) ** 2)
 
 
 # -- transcription comparison -------------------------------------------
@@ -305,9 +335,9 @@ def compare_transcription(phi: float, order: int = 4) -> TranscriptionReport:
     conditions = [np.abs(a - b) <= 1e-12, leading < 0, np.arange(order + 1) > leading]
     # 0 agreed, 1 extra term, 2 normalization drift, 3 unexpected
     kind = np.select(conditions, [0, 1, 2], 3)
+    at = np.nonzero(kind)
+    labels = [_label(row) for row in rows.tolist()]
     found = ([], [], [])
-    for i, k in zip(*np.nonzero(kind)):
-        found[kind[i, k] - 1].append(
-            CoefficientDiff(_label(rows[i]), int(k), complex(a[i, k]), complex(b[i, k]))
-        )
+    for i, k, t, x, y in zip(*(v.tolist() for v in (*at, kind[at], a[at], b[at]))):
+        found[t - 1].append(CoefficientDiff(labels[i], k, x, y))
     return TranscriptionReport(*map(tuple, found))

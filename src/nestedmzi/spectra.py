@@ -143,8 +143,8 @@ def attribute_peaks(
     colliding combination tone would be credited to the wrong mirror.
     ``model`` is recorded in the report; attribution does not depend on it.
     """
-    if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}")
+    if (kind := DETECTOR_BINS.get(detector)) is None:
+        raise ValueError(f"no attribution for detector {detector!r}: detectors are {DETECTORS}")
     plan = check_frequency_plan(scenario)
     if not plan.ok:
         details = "; ".join(map(str, plan.collisions))
@@ -153,7 +153,7 @@ def attribute_peaks(
     mirrors = {}
     residual_bins = np.ones(len(spec.power), dtype=bool)
     residual_bins[0] = False
-    for _, freq, (m,) in tone_catalogue(scenario)[DETECTOR_BINS[detector]]:
+    for _, freq, (m,) in tone_catalogue(scenario)[kind]:
         k = spec.bin_index(freq)
         mirrors[m] = {"freq": freq, "power": float(spec.power[k])}
         residual_bins[k] = False

@@ -647,6 +647,17 @@ def test_reproduce_fig1_writes_what_the_cli_writes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reproduce_fig1_unwritable_out_is_a_usage_error(tmp_path):
+    # as test_unwritable_out_is_a_usage_error for `nestedmzi spectrum --out`
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "fig"
+    proc = _reproduce_fig1("--out", str(out), stdout=subprocess.DEVNULL)
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith(f"error: cannot write --out {out / 'case_a_total_exact'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_reproduce_fig1_closed_stdout_pipe_exits_quietly(tmp_path):
     read_end, write_end = os.pipe()
     os.close(read_end)

@@ -408,6 +408,62 @@ def test_witness_proportional_to_leading_probabilities(case, expected):
         assert wit == pytest.approx(expected[m], abs=1e-12)
 
 
+# -- read-only states and the readouts' memos ----------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModeState({"10011": EpsSeries.const(0.5, 4)}),
+        lambda: output_state(0.7, 1.0, 6),
+        lambda: apply_mirror_kick(output_state(0.7, 0.0, 6), "C"),
+        lambda: bcjlss_output_state(0.7, 1.0, 6),
+        lambda: reference_output_state(0.7, 6),
+    ],
+    ids=["ModeState", "output_state", "apply_mirror_kick", "bcjlss_output_state",
+         "reference_output_state"],
+)
+def test_state_arrays_are_read_only(build):
+    # The projector and witness memos are valid only while the arrays stay.
+    state = build()
+    with pytest.raises(ValueError, match="read-only"):
+        state.coeffs[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.mask[0] = True
+
+
+def test_projectors_follow_each_new_epsilon():
+    state = output_state(2.1, 1.0, 8)
+    for eps in (0.01, 0.03, 0.01, 0.0, -0.0, math.nan, 0.01, math.nan, 0.2):
+        fresh = output_state(2.1, 1.0, 8)
+        for m in MIRRORS:
+            got = mode_projection_probability(state, m, eps)
+            want = mode_projection_probability(fresh, m, eps)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (eps, m)
+
+
+def test_readouts_match_the_per_mirror_formulas():
+    # Today's readouts evaluate every row once per state (once per eps for
+    # the projectors); the formulas here read only the mirror's rows.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        phi, kappa = float(rng.uniform(0.0, 2 * math.pi)), float(rng.integers(0, 2))
+        order, eps = int(rng.integers(0, 13)), float(rng.uniform(0.002, 0.05))
+        state, bstate = output_state(phi, kappa, order), bcjlss_output_state(phi, kappa, order)
+        for m in MIRRORS:
+            rows = [i for i, lab in enumerate(ALL_LABELS) if lab[MIRRORS.index(m)] == "1"]
+            values = state.coeffs[rows] @ eps ** np.arange(order + 1)
+            want = float((np.abs(values) ** 2).sum())
+            assert mode_projection_probability(state, m, eps) == pytest.approx(want, rel=1e-15)
+            for st in (state, bstate):
+                want = float(abs(st.coeffs[rows, 0].sum()) ** 2)
+                assert bcjlss_witness(st, m) == pytest.approx(want, rel=1e-15, abs=1e-30)
+        with pytest.raises(ValueError, match="unknown mirror 'X'"):
+            bcjlss_witness(bstate, "X")
+        with pytest.raises(ValueError, match="unknown mirror 'X'"):
+            mode_projection_probability(state, "X", eps)
+
+
 # -- phase convention shared with the beam model -------------------------
 
 

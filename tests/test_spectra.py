@@ -150,6 +150,12 @@ def test_attribution_refuses_colliding_plan():
         attribute_peaks(power_spectrum(ts), sc, "total")
 
 
+def test_attribution_names_an_unknown_detector():
+    spec = power_spectrum(tone_series([(0.1, 62.0)]))
+    with pytest.raises(ValueError, match=r"detector 'Total': detectors are \('total', 'quad'\)"):
+        attribute_peaks(spec, standard_case("a"), "Total")
+
+
 def test_attribution_refuses_a_bin_beyond_the_spectrum():
     # 200 samples in 1 s keep bins 0-100; case a's 2 f_i lines reach 118 Hz
     spec = power_spectrum(tone_series([(0.1, 62.0)], rate=200.0))
