@@ -91,6 +91,8 @@ def _add_scenario_flags(p):
 
 def cmd_fock(args) -> int:
     sc = build_scenario(args)
+    if off := [m for m, a in sc.vib_amplitude.items() if a != sc.epsilon]:
+        raise ValueError(f"fock needs vib_amplitude = epsilon; it differs on {', '.join(off)}")
     order = sc.series_order
     payload = {}
     if args.compare or args.procedure == "projector":

@@ -31,7 +31,6 @@ from .series import EpsSeries, inv_sqrt_one_plus_sq
 # Row i is the mode whose label, read as a binary number, is i: the first
 # mirror is the highest bit, and row order is sorted-label order.
 _ROWS = np.arange(2 ** len(MIRRORS))
-_BIT = {m: 1 << (len(MIRRORS) - 1 - i) for i, m in enumerate(MIRRORS)}
 
 
 class _ByMirror(dict):
@@ -39,17 +38,16 @@ class _ByMirror(dict):
         raise ValueError(f"unknown mirror {mirror!r}")
 
 
-# Per mirror: (rows without its bit, the same rows with the bit set).
-_PAIRS = _ByMirror(
-    (m, np.stack((_ROWS[_ROWS & b == 0], _ROWS[_ROWS & b == 0] | b))) for m, b in _BIT.items()
-)
-# The rows with each mirror's bit in MIRRORS order (for the witness sums), and each one's index.
-_HIGH = np.stack([_PAIRS[m][1] for m in MIRRORS])
+# Each mirror's index in MIRRORS; _BITS[i] is mirror i's bit in a row number.
 _INDEX = _ByMirror((m, i) for i, m in enumerate(MIRRORS))
+_BITS = 1 << np.arange(len(MIRRORS))[::-1]
+# [0, i]: the rows without mirror i's bit; [1, i]: the same rows with the bit set.
+_LOW = np.array([_ROWS[_ROWS & b == 0] for b in _BITS])
+_BIT_ROWS = np.stack((_LOW, _LOW | _BITS[:, None]))
 # Per path of scenario.PATHS: the row of the mode of all its mirrors, and per
 # row, how many of its mirrors have their bit set there, or -1 if the row has
 # the bit of a mirror off the path (output_state adds 0 there, bit for bit).
-_PATH_BITS = [sum(_BIT[m] for m in path) for path in PATHS]
+_PATH_BITS = [sum(_BITS[_INDEX[m]] for m in path) for path in PATHS]
 _SIZES = np.where(_ROWS & ~np.array(_PATH_BITS)[:, None], -1, np.bitwise_count(_ROWS).astype(int))
 
 
@@ -107,7 +105,7 @@ class ModeState:
 
     def _bit_sums(self) -> np.ndarray:
         if self._sums is None:
-            self._sums = self.coeffs[_HIGH, 0].sum(axis=1)
+            self._sums = self.coeffs[_BIT_ROWS[1], 0].sum(axis=1)
         return self._sums
 
     @property
@@ -139,7 +137,7 @@ def apply_mirror_kick(state: ModeState, mirror: str) -> ModeState:
     label that already carries the bit is a usage error, not a physical
     branch.
     """
-    low, high = _PAIRS[mirror]
+    low, high = _BIT_ROWS[:, _INDEX[mirror]]
     if state.mask[high].any():
         raise ValueError(
             f"mirror {mirror} bit already set in label "
@@ -235,12 +233,12 @@ def norm_series(state: ModeState) -> EpsSeries:
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
-    return float(state._probabilities(epsilon)[_PAIRS[mirror][1]].sum())
+    return float(state._probabilities(epsilon)[_BIT_ROWS[1, _INDEX[mirror]]].sum())
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
-    """|amplitude|^2 of the zero mode "00000", which is row 0."""
-    return abs(EpsSeries(state.coeffs[0]).eval(epsilon)) ** 2
+    """|amplitude|^2 of the zero mode "00000": row 0 of the projectors' evaluation."""
+    return float(state._probabilities(epsilon)[0])
 
 
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:
@@ -248,7 +246,7 @@ def projection_leading_coeff(state: ModeState, mirror: str) -> float:
     c_0 c_2* + c_1 c_1* + c_2 c_0* summed over the rows with the bit."""
     if state.order < 2:
         raise ValueError(f"the eps^2 coefficient needs order >= 2, got {state.order}")
-    c = state.coeffs[_PAIRS[mirror][1]]
+    c = state.coeffs[_BIT_ROWS[1, _INDEX[mirror]]]
     return float((c[:, :3] * c[:, 2::-1].conj()).sum().real)
 
 

@@ -246,10 +246,6 @@ class CollisionReport:
         return len(self.collisions) == 0
 
 
-# Attribution reads mirror m at its tone of this kind, f_m or 2 f_m.
-DETECTOR_BINS = {"quad": "fundamentals", "total": "doubles"}
-
-
 def tone_catalogue(scenario: Scenario) -> dict:
     """Every tone of the active mirrors once: {kind: ((label, freq, mirrors), ...)}.
 

@@ -2,8 +2,8 @@
 
 The frequency plan puts an integer number of cycles of every tone in the
 window, so a rectangular-window periodogram is leakage-free and each tone
-occupies exactly one bin. scenario.tone_catalogue is the one place the
-tones and each detector's bins are defined. Attribution reads one bin per
+occupies exactly one bin. scenario.tone_catalogue defines the tones, and
+DETECTOR_BINS each detector's kind of tone. Attribution reads one bin per
 mirror and reports everything else above threshold as residual.
 """
 from __future__ import annotations
@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import beam
-from .scenario import DETECTOR_BINS, Scenario, check_frequency_plan, tone_catalogue
+from .scenario import Scenario, check_frequency_plan, tone_catalogue
 
 RESIDUAL_THRESHOLD = 1e-3
 
-DETECTORS = ("total", "quad")
+# Attribution reads mirror m at its tone of this kind: 2 f_m (total) or f_m (quad).
+DETECTOR_BINS = {"total": "doubles", "quad": "fundamentals"}
+DETECTORS = tuple(DETECTOR_BINS)
 MODELS = ("exact", "linearized")
 _ENGINES = {
     ("total", "exact"): beam.exact_intensity,

@@ -322,7 +322,7 @@ def test_non_finite_epsilon_is_named_in_the_error(tmp_path, capsys, value):
 
 
 def test_scenario_file_layering(tmp_path, capsys):
-    sc = standard_case("b").with_overrides(epsilon=0.02)
+    sc = standard_case("b").with_epsilon(0.02)
     path = tmp_path / "scenario.json"
     path.write_text(sc.to_json())
     # file overrides the case default; flag overrides the file
@@ -343,6 +343,36 @@ def test_scenario_file_layering(tmp_path, capsys):
     assert json.loads(out)["projector"]["A"] == pytest.approx(
         0.005**2 / 9, rel=1e-3
     )
+
+
+@pytest.mark.parametrize("argv", [(), ("--procedure", "bcjlss"), ("--compare", "--json")])
+def test_fock_refuses_a_vib_amplitude_other_than_epsilon(tmp_path, capsys, argv):
+    # The Fock model kicks every mirror by epsilon, so it cannot honour a
+    # per-mirror amplitude; spectrum reads only B, E and F in the first file.
+    case_a = standard_case("a")
+    amps = {**case_a.vib_amplitude, "A": 0.0, "C": 0.0, "E": 0.05}
+    probe = case_a.with_overrides(vib_amplitude=amps)
+    # epsilon alone moved: every amplitude is still case b's 0.01
+    stale = standard_case("b").with_overrides(epsilon=0.02)
+    path = tmp_path / "scenario.json"
+    for sc, extra, named in [
+        (probe, (), "A, C, E"),
+        (probe, ("--epsilon", "0.02"), "A, C"),
+        (stale, (), "A, B, C, E, F"),
+    ]:
+        path.write_text(sc.to_json())
+        code, out, err = run(capsys, "fock", "--scenario-file", str(path), *extra, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: fock needs vib_amplitude = epsilon; it differs on {named}\n"
+
+
+def test_fock_reads_a_file_whose_amplitudes_all_equal_epsilon(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(standard_case("b").with_epsilon(0.02).to_json())
+    for flags in ((), ("--procedure", "bcjlss"), ("--compare", "--json")):
+        from_file = run(capsys, "fock", "--scenario-file", str(path), *flags)
+        assert from_file[0] == 0
+        assert from_file == run(capsys, "fock", "--case", "b", "--epsilon", "0.02", *flags)
 
 
 def test_epsilon_flag_keeps_mirrors_at_rest(tmp_path, capsys):

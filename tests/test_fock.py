@@ -544,6 +544,30 @@ def test_output_state_is_the_kick_enumeration(phi, kappa):
         assert np.array_equal(state.mask, mask)
 
 
+def test_probability_table_matches_the_kick_chain_evaluated_mode_by_mode():
+    # The table reads one evaluation of all 32 rows of output_state; the
+    # reference evaluates each mode of the kick chain by EpsSeries.eval.
+    # The two sum in other orders: 2e-15 is about 9 ulp (the worst of 3000
+    # draws read 1.2e-15). abs=0, since approx's default 1e-12 would pass
+    # any projector value of order eps^2.
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        phi, kappa = float(rng.uniform(0.0, 2 * math.pi)), float(rng.integers(0, 2))
+        order, eps = int(rng.integers(3, 13)), float(rng.uniform(0.002, 0.1))
+        coeffs, mask = kick_enumeration(phi, kappa, order)
+        chain = ModeState({ALL_LABELS[i]: EpsSeries(coeffs[i]) for i in np.flatnonzero(mask)})
+        amps = chain.eval(eps)
+        want = {m: sum(abs(v) ** 2 for lab, v in amps.items() if lab[MIRRORS.index(m)] == "1")
+                for m in MIRRORS}
+        want["zero"] = abs(amps.get("00000", 0.0)) ** 2
+        got = zero_mode_probability(output_state(phi, kappa, order), eps)
+        assert got == pytest.approx(want["zero"], rel=2e-15, abs=0)
+        table = fock.probability_table(phi, kappa, eps, order)
+        assert table.keys() == want.keys()
+        for key, value in table.items():
+            assert value == pytest.approx(want[key], rel=2e-15, abs=0), key
+
+
 def test_output_state_memory_grows_with_order_not_its_square():
     tracemalloc.start()
     try:
