@@ -236,10 +236,12 @@ def _pair_sum(coeffs, shifts, diag, excess):
     each kernel forms without cancellation. Zero-coefficient rows are skipped.
     Terms are formed and added in place, in the order of the formula.
     """
-    total = np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(shifts)[1:]))
+    coeffs, shifts = np.asarray(coeffs), np.asarray(shifts)
+    shape = np.broadcast_shapes(coeffs.shape[1:], shifts.shape[1:])
+    total = np.zeros(shape)
     # each row of shifts, and so each excess, takes the shape of total
-    shifts = [np.broadcast_to(row, total.shape) for row in shifts]
-    rows = [j for j in range(len(shifts)) if np.any(coeffs[j])]
+    shifts = [row if row.shape == shape else np.broadcast_to(row, shape) for row in shifts]
+    rows = [j for j in range(len(shifts)) if coeffs[j].any()]
     conj_sum = np.conj(sum(coeffs[j] for j in rows))
     diags = {j: diag(shifts[j]) for j in rows}
     for j in rows:

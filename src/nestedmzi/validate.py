@@ -164,30 +164,46 @@ def check_single_mirror_null():
     )
 
 
+def _quartic_constants() -> np.ndarray:
+    """max |exact - second order| / (max shift)^4 over 64 times, shape
+    (3 cases, 3 eps). The 9 (case, eps) runs are one (3, 576) stack, so each
+    engine is called once; every column is evaluated as in its own run."""
+    times = np.arange(64) / 64.0
+    runs = [sc.with_epsilon(eps) for sc in map(standard_case, "abc") for eps in (0.04, 0.02, 0.01)]
+    coeffs = np.repeat(np.array([beam.path_coefficients(sc) for sc in runs]).T, len(times), axis=1)
+    shifts = np.hstack([beam.path_shifts(sc, times) for sc in runs])
+    remainder = np.abs(
+        beam.exact_intensity(coeffs, shifts) - beam.second_order_intensities(coeffs, shifts)
+    )
+    # largest shift among the paths that carry light
+    shift = np.where(coeffs != 0, np.abs(shifts), 0.0).max(axis=0)
+    return np.max((remainder / np.maximum(shift, 1e-30) ** 4).reshape(3, 3, -1), axis=2)
+
+
 def check_quartic_remainder():
     """|exact - second order| scales as (max shift)^4."""
-    times = np.arange(64) / 64.0
-    ratios = []
-    for case in ("a", "b", "c"):
-        consts = []
-        for eps in (0.04, 0.02, 0.01):
-            sc = standard_case(case).with_epsilon(eps)
-            coeffs = beam.path_coefficients(sc)
-            shifts = beam.path_shifts(sc, times)
-            exact = beam.exact_intensity(coeffs, shifts)
-            second = beam.second_order_intensities(coeffs, shifts)
-            # largest shift among the paths that carry light
-            shift = np.max(np.abs(shifts[coeffs != 0]), axis=0)
-            consts.append(
-                float(np.max(np.abs(exact - second) / np.maximum(shift, 1e-30) ** 4))
-            )
-        ratios.append(max(consts) / min(consts))
+    consts = _quartic_constants()
+    ratios = (consts.max(axis=1) / consts.min(axis=1)).tolist()
     ok = all(r < 2.0 for r in ratios)
     return _result(
         "second-order remainder scales quartically in shifts",
         ok,
         f"fitted-constant spread per case: {[f'{r:.2f}' for r in ratios]}",
     )
+
+
+def _quintic_quadcell() -> tuple:
+    """([max |dI| at eps 0.01, at eps 0.005], linearized dI at eps 0.01) of
+    case c over 128 times. Both eps runs share the coefficients and go through
+    one exact_quadcell call; the linearized call reuses the eps 0.01 shifts."""
+    times = np.arange(128) / 128.0
+    case_c = standard_case("c")
+    runs = [case_c.with_epsilon(eps) for eps in (0.01, 0.005)]
+    coeffs = beam.path_coefficients(runs[0])
+    shifts = [beam.path_shifts(sc, times) for sc in runs]
+    quad = beam.exact_quadcell(coeffs, np.hstack(shifts))
+    vals = np.max(np.abs(quad.reshape(len(runs), -1)), axis=1).tolist()
+    return vals, beam.linearized_quadcell(coeffs, shifts[0])
 
 
 def check_case_c_quintic_quadcell():
@@ -205,17 +221,8 @@ def check_case_c_quintic_quadcell():
     integral is [G'^2 / 2] from 0 to inf = 0 because G'(0) = 0. Halving
     eps thus divides the amplitude by 32 and the power by 1024.
     """
-    times = np.arange(128) / 128.0
-    vals = []
-    for eps in (0.01, 0.005):
-        sc = standard_case("c").with_epsilon(eps)
-        quad = beam.exact_quadcell(
-            beam.path_coefficients(sc), beam.path_shifts(sc, times)
-        )
-        vals.append(float(np.max(np.abs(quad))))
+    vals, di_lin = _quintic_quadcell()
     ratio = vals[0] / vals[1]
-    sc = standard_case("c")
-    di_lin = beam.linearized_quadcell(beam.path_coefficients(sc), beam.path_shifts(sc, times))
     lin_ok = bool(np.all(di_lin == 0.0))
     return _result(
         "blocked-arm quad-cell signal is quintic (and zero when linearized)",
@@ -269,8 +276,9 @@ def check_spectral_cases():
         _, _, report = spectra.run(sc, "total", "exact")
         coeffs = beam.path_coefficients(sc)
         amps = np.array([sc.vib_amplitude[m] for m in MIRRORS])
-        i2 = [beam.second_order_intensities(coeffs, INCIDENCE * a) for a in (amps, 0)]
-        predicted = ((i2[0] - i2[1]) / 2) ** 2 / 2
+        # columns: each mirror alone at its amplitude, then all at rest
+        i2 = beam.second_order_intensities(coeffs, np.hstack([INCIDENCE * amps, 0 * INCIDENCE]))
+        predicted = ((i2[:len(MIRRORS)] - i2[len(MIRRORS):]) / 2) ** 2 / 2
         measured = np.array([report.mirrors[m]["power"] for m in MIRRORS])
         unit = np.max(predicted) * sc.epsilon**2
         worst = max(worst, np.max(np.abs(measured - predicted)) / unit)

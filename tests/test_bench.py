@@ -82,12 +82,16 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     assert set(layers["oracle_batched_per_field_s"]) == {
         "quadrature_intensity", "quadrature_quadcell"
     }
-    assert set(layers["samples_per_call_s"]) == {"1024", "8192"}
-    for per_call in layers["samples_per_call_s"].values():
-        assert set(per_call) == {
-            "beam.path_shifts", "beam.exact_intensity", "beam.exact_quadcell",
-            "beam.second_order_intensities", "beam.linearized_intensity",
-            "beam.linearized_quadcell",
+    assert set(layers["samples_per_call_s"]) == {"64", "1024", "8192"}
+    engine = {
+        "beam.path_shifts", "beam.exact_intensity", "beam.exact_quadcell",
+        "beam.second_order_intensities", "beam.linearized_intensity",
+        "beam.linearized_quadcell",
+    }
+    # case a's frequency plan cannot be sampled 64 times a second
+    assert set(layers["samples_per_call_s"]["64"]) == engine
+    for n in ("1024", "8192"):
+        assert set(layers["samples_per_call_s"][n]) == engine | {
             "spectra.power_spectrum", "spectra.attribute_peaks",
         }
     assert set(layers["fock_per_call_s"]) == {"4", "12"}

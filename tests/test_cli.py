@@ -459,8 +459,8 @@ def test_fock_scenario_file_phi_is_honoured(tmp_path, capsys):
     )
     assert code == 0
     table = json.loads(out)["projector"]
-    assert table["E"] == pytest.approx(1.0215682914413006e-05, rel=1e-12)
-    assert table["F"] == pytest.approx(1.0215682914413006e-05, rel=1e-12)
+    assert table["E"] == pytest.approx(1.0215682914413006e-05, rel=1e-12, abs=0)
+    assert table["F"] == pytest.approx(1.0215682914413006e-05, rel=1e-12, abs=0)
     code, out, _ = run(capsys, "fock", "--case", "b", "--json")
     assert json.loads(out)["projector"]["E"] < 1e-8
 

@@ -252,14 +252,19 @@ def test_engine_equals_the_plain_pair_sum_bit_for_bit(name):
         for size in rng.integers(1, 4, 200)
     ]
     coeffs, shifts = beam.stack_fields(fields)
+    middle_row_zero = coeffs.copy()
+    middle_row_zero[1] = 0.0
     inputs = [
         (coeffs, shifts),
         (coeffs[:, 0], shifts[:, 0]),  # one field: (P,) coefficients and shifts
         (coeffs, rng.uniform(-0.1, 0.1, 3)),  # (P, N) coefficients with (P,) shifts
+        (middle_row_zero, shifts),
     ]
     for case in "abc":
         sc = standard_case(case)
         inputs.append((beam.path_coefficients(sc), beam.path_shifts(sc, np.arange(1024) / 1024.0)))
+    # Python complex coefficients, with case c's zero first
+    inputs.append((tuple(complex(c) for c in beam.path_coefficients(sc)), inputs[-1][1]))
     for coeffs, shifts in inputs:
         got = getattr(beam, name)(coeffs, shifts)
         want = SCALES[name] * plain_pair_sum(coeffs, shifts, *PLAIN_KERNELS[name])

@@ -454,7 +454,7 @@ def test_readouts_match_the_per_mirror_formulas():
             rows = [i for i, lab in enumerate(ALL_LABELS) if lab[MIRRORS.index(m)] == "1"]
             values = state.coeffs[rows] @ eps ** np.arange(order + 1)
             want = float((np.abs(values) ** 2).sum())
-            assert mode_projection_probability(state, m, eps) == pytest.approx(want, rel=1e-15)
+            assert mode_projection_probability(state, m, eps) == pytest.approx(want, rel=1e-15, abs=0)
             for st in (state, bstate):
                 want = float(abs(st.coeffs[rows, 0].sum()) ** 2)
                 assert bcjlss_witness(st, m) == pytest.approx(want, rel=1e-15, abs=1e-30)

@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -281,6 +282,38 @@ def test_numbers_are_stored_as_floats():
     assert type(sc.phi) is float and type(sc.kappa) is float
     assert all(type(f) is float for f in sc.mirror_freq.values())
     assert type(sc.series_order) is int
+
+
+class _Float(float):
+    """A float subclass: not a float by type, so it takes the numbers.Real check."""
+
+
+@pytest.mark.parametrize("make", [float, _Float, np.float64])
+def test_float_likes_are_stored_as_plain_floats(make):
+    sc = Scenario(
+        phi=make(1.25), kappa=make(1.0), epsilon=make(0.02),
+        vib_amplitude={m: make(0.02) for m in MIRRORS},
+    )
+    assert sc == Scenario(phi=1.25, kappa=1.0, epsilon=0.02)
+    assert all(
+        type(v) is float for v in (sc.phi, sc.kappa, sc.epsilon, *sc.vib_amplitude.values())
+    )
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (True, "phi must be a number, got True"),
+        ("1", "phi must be a number, got '1'"),
+        (10**400, "phi is beyond the float range"),
+        (float("nan"), "phi must be finite, got nan"),
+        (_Float("inf"), "phi must be finite, got inf"),
+    ],
+)
+def test_phi_refusals_keep_their_messages(value, message):
+    with pytest.raises(ValueError) as exc:
+        Scenario(phi=value, kappa=1.0)
+    assert str(exc.value) == message
 
 
 def test_with_epsilon_keeps_mirrors_at_rest():

@@ -89,3 +89,45 @@ def test_random_fields_follow_the_draw_contract(seed, count):
     # the same seed gives the same fields
     again = validate.random_fields(np.random.default_rng(seed), count)
     assert np.array_equal(again[0], coeffs) and np.array_equal(again[1], shifts)
+
+
+def test_quartic_constants_equal_one_engine_call_per_run():
+    # the 9 (case, eps) runs, each through its own engine calls
+    times = np.arange(64) / 64.0
+    want = []
+    for case in "abc":
+        for eps in (0.04, 0.02, 0.01):
+            sc = standard_case(case).with_epsilon(eps)
+            coeffs, shifts = beam.path_coefficients(sc), beam.path_shifts(sc, times)
+            exact = beam.exact_intensity(coeffs, shifts)
+            second = beam.second_order_intensities(coeffs, shifts)
+            shift = np.max(np.abs(shifts[coeffs != 0]), axis=0)
+            want.append(float(np.max(np.abs(exact - second) / np.maximum(shift, 1e-30) ** 4)))
+    assert validate._quartic_constants().tolist() == np.reshape(want, (3, 3)).tolist()
+    assert validate.check_quartic_remainder().detail == (
+        "fitted-constant spread per case: ['1.00', '1.00', '1.00']"
+    )
+
+
+def test_quintic_amplitudes_equal_one_engine_call_per_run():
+    times = np.arange(128) / 128.0
+    want = []
+    for eps in (0.01, 0.005):
+        sc = standard_case("c").with_epsilon(eps)
+        quad = beam.exact_quadcell(beam.path_coefficients(sc), beam.path_shifts(sc, times))
+        want.append(float(np.max(np.abs(quad))))
+    sc = standard_case("c")
+    di_lin = beam.linearized_quadcell(beam.path_coefficients(sc), beam.path_shifts(sc, times))
+    vals, got_lin = validate._quintic_quadcell()
+    assert vals == want
+    assert np.array_equal(got_lin, di_lin)
+    assert np.array_equal(np.signbit(got_lin), np.signbit(di_lin))
+    assert validate.check_case_c_quintic_quadcell().detail == (
+        "amplitude ratio under eps halving: 31.984"
+    )
+
+
+def test_spectral_cases_detail_is_unchanged():
+    assert validate.check_spectral_cases().detail == (
+        "worst deviation 6.5 eps^2 of the top line (bound 10 eps^2)"
+    )
