@@ -54,28 +54,20 @@ def _read_scenario_file(path: str) -> Scenario:
 
 
 def build_scenario(args) -> Scenario:
-    """The scenario file if one is given, else the standard case; flags override it."""
+    """The scenario file if one is given, else the standard case, with every
+    flag laid over it in one Scenario.with_overrides call."""
     if args.scenario_file:
         sc = _read_scenario_file(args.scenario_file)
     elif args.case:
         sc = standard_case(args.case)
     else:
         _usage_error("one of --case or --scenario-file is required")
-    overrides = {}
-    if args.epsilon is not None:
-        sc = sc.with_epsilon(args.epsilon)
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.rate is not None:
-        overrides["sample_rate"] = args.rate
-    if getattr(args, "order", None) is not None:  # fock's flag alone
-        overrides["series_order"] = args.order
-    freq = _parse_freq_overrides(args.freq)
-    if freq:
+    flags = {"epsilon": args.epsilon, "duration": args.duration, "sample_rate": args.rate,
+             "series_order": getattr(args, "order", None)}  # --order is fock's alone
+    overrides = {name: value for name, value in flags.items() if value is not None}
+    if freq := _parse_freq_overrides(args.freq):
         overrides["mirror_freq"] = {**sc.mirror_freq, **freq}
-    if overrides:
-        sc = sc.with_overrides(**overrides)
-    return sc
+    return sc.with_overrides(**overrides) if overrides else sc
 
 
 def _add_scenario_flags(p):
@@ -117,9 +109,10 @@ def cmd_fock(args) -> int:
 def cmd_spectrum(args) -> int:
     sc = build_scenario(args)
     outdir = Path(args.out)
-    existing = [str(outdir / a) for a in spectra.ARTIFACTS if (outdir / a).exists()]
-    if existing and not args.force:
-        raise ValueError(f"refusing to overwrite {existing}; pass --force to allow")
+    if not args.force:
+        existing = [str(outdir / a) for a in spectra.ARTIFACTS if (outdir / a).exists()]
+        if existing:
+            raise ValueError(f"refusing to overwrite {existing}; pass --force to allow")
 
     ts, spec, report = spectra.run(sc, args.detector, args.model)
     try:

@@ -316,8 +316,13 @@ class TranscriptionReport:
         return len(self.unexpected) == 0
 
     @property
+    def extra_term(self):
+        """The CoefficientDiff of the E+F-only label "00011" at eps^2, or None."""
+        return next((d for d in self.extra_terms if d.label == "00011" and d.power == 2), None)
+
+    @property
     def extra_term_detected(self) -> bool:
-        return any(d.label == "00011" and d.power == 2 for d in self.extra_terms)
+        return self.extra_term is not None
 
 
 def compare_transcription(phi: float, order: int = 4) -> TranscriptionReport:

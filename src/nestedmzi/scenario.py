@@ -116,7 +116,7 @@ class Scenario:
         for name in ("phi", "kappa", "epsilon", "duration", "sample_rate"):
             value = _float(name, getattr(self, name), finite=name == "phi")
             object.__setattr__(self, name, value)
-        # before the per-mirror maps, which with_epsilon fills from epsilon
+        # before the per-mirror maps, which __post_init__ and with_overrides fill from epsilon
         if not (0.0 < self.epsilon < 0.1):
             raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
         if not isinstance(self.series_order, numbers.Integral):
@@ -207,12 +207,12 @@ class Scenario:
         return cls.from_dict(json.loads(text))
 
     def with_overrides(self, **kwargs) -> "Scenario":
+        """A new, checked scenario with kwargs replaced. An epsilon given without
+        vib_amplitude moves every mirror not at rest to it; one at rest stays at 0."""
+        if "epsilon" in kwargs and "vib_amplitude" not in kwargs:
+            amps = self.vib_amplitude.items()
+            kwargs["vib_amplitude"] = {m: kwargs["epsilon"] if a > 0 else 0.0 for m, a in amps}
         return replace(self, **kwargs)
-
-    def with_epsilon(self, eps: float) -> "Scenario":
-        """epsilon = eps, and amplitude eps for every mirror not at rest."""
-        amps = {m: eps if a > 0 else 0.0 for m, a in self.vib_amplitude.items()}
-        return self.with_overrides(epsilon=eps, vib_amplitude=amps)
 
 
 def standard_case(case_id: str) -> Scenario:

@@ -98,12 +98,12 @@ def check_witness_proportionality():
 
 def check_transcription():
     report = fock.compare_transcription(math.pi)
-    extra = [d.computed for d in report.extra_terms if d.label == "00011" and d.power == 2]
+    extra = report.extra_term
     return _result(
         "transcription agrees; extra 00011 term confirmed",
-        report.ok and bool(extra) and abs(extra[0] - (-2.0 / 3.0)) < 1e-12,
+        report.ok and extra is not None and abs(extra.computed - (-2.0 / 3.0)) < 1e-12,
         f"unexpected diffs: {len(report.unexpected)}, "
-        f"00011 eps^2 coefficient: {extra[0] if extra else 'missing'}",
+        f"00011 eps^2 coefficient: {'missing' if extra is None else extra.computed}",
     )
 
 
@@ -169,7 +169,8 @@ def _quartic_constants() -> np.ndarray:
     (3 cases, 3 eps). The 9 (case, eps) runs are one (3, 576) stack, so each
     engine is called once; every column is evaluated as in its own run."""
     times = np.arange(64) / 64.0
-    runs = [sc.with_epsilon(eps) for sc in map(standard_case, "abc") for eps in (0.04, 0.02, 0.01)]
+    cases = map(standard_case, "abc")
+    runs = [sc.with_overrides(epsilon=eps) for sc in cases for eps in (0.04, 0.02, 0.01)]
     coeffs = np.repeat(np.array([beam.path_coefficients(sc) for sc in runs]).T, len(times), axis=1)
     shifts = np.hstack([beam.path_shifts(sc, times) for sc in runs])
     remainder = np.abs(
@@ -198,7 +199,7 @@ def _quintic_quadcell() -> tuple:
     one exact_quadcell call; the linearized call reuses the eps 0.01 shifts."""
     times = np.arange(128) / 128.0
     case_c = standard_case("c")
-    runs = [case_c.with_epsilon(eps) for eps in (0.01, 0.005)]
+    runs = [case_c.with_overrides(epsilon=eps) for eps in (0.01, 0.005)]
     coeffs = beam.path_coefficients(runs[0])
     shifts = [beam.path_shifts(sc, times) for sc in runs]
     quad = beam.exact_quadcell(coeffs, np.hstack(shifts))

@@ -306,6 +306,19 @@ def test_freq_override_and_epsilon(capsys):
     assert table["E"] == pytest.approx(4 * 0.002**2 / 9, rel=1e-4)
 
 
+def test_flags_are_laid_over_the_case_in_one_step(tmp_path, capsys):
+    argv = ["spectrum", "--case", "a", "--epsilon", "0.02", "--freq", "A=29", "--duration", "2"]
+    argv += ["--out", str(tmp_path / "run")]
+    case_a = standard_case("a")
+    assert cli.build_scenario(cli.make_parser().parse_args(argv)) == case_a.with_overrides(
+        epsilon=0.02, mirror_freq={**case_a.mirror_freq, "A": 29.0}, duration=2.0
+    )
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "run" / "attribution.json").read_text())
+    assert report["mirror"]["A"]["freq"] == 58.0
+
+
 def test_invalid_epsilon_exits_one(capsys):
     code, _, err = run(capsys, "fock", "--case", "a", "--epsilon", "0.5")
     assert code == 1
@@ -314,7 +327,7 @@ def test_invalid_epsilon_exits_one(capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_epsilon_is_named_in_the_error(tmp_path, capsys, value):
-    # with_epsilon copies epsilon into the amplitudes; the error names epsilon
+    # --epsilon moves the amplitudes with it; the error names epsilon
     out = tmp_path / "run"
     code, _, err = run(capsys, "spectrum", "--case", "a", "--epsilon", value, "--out", str(out))
     assert code == 1 and not out.exists()
@@ -322,7 +335,7 @@ def test_non_finite_epsilon_is_named_in_the_error(tmp_path, capsys, value):
 
 
 def test_scenario_file_layering(tmp_path, capsys):
-    sc = standard_case("b").with_epsilon(0.02)
+    sc = standard_case("b").with_overrides(epsilon=0.02)
     path = tmp_path / "scenario.json"
     path.write_text(sc.to_json())
     # file overrides the case default; flag overrides the file
@@ -352,8 +365,10 @@ def test_fock_refuses_a_vib_amplitude_other_than_epsilon(tmp_path, capsys, argv)
     case_a = standard_case("a")
     amps = {**case_a.vib_amplitude, "A": 0.0, "C": 0.0, "E": 0.05}
     probe = case_a.with_overrides(vib_amplitude=amps)
-    # epsilon alone moved: every amplitude is still case b's 0.01
-    stale = standard_case("b").with_overrides(epsilon=0.02)
+    # epsilon moved, every amplitude kept at case b's 0.01
+    stale = standard_case("b").with_overrides(
+        epsilon=0.02, vib_amplitude=standard_case("b").vib_amplitude
+    )
     path = tmp_path / "scenario.json"
     for sc, extra, named in [
         (probe, (), "A, C, E"),
@@ -368,7 +383,7 @@ def test_fock_refuses_a_vib_amplitude_other_than_epsilon(tmp_path, capsys, argv)
 
 def test_fock_reads_a_file_whose_amplitudes_all_equal_epsilon(tmp_path, capsys):
     path = tmp_path / "scenario.json"
-    path.write_text(standard_case("b").with_epsilon(0.02).to_json())
+    path.write_text(standard_case("b").with_overrides(epsilon=0.02).to_json())
     for flags in ((), ("--procedure", "bcjlss"), ("--compare", "--json")):
         from_file = run(capsys, "fock", "--scenario-file", str(path), *flags)
         assert from_file[0] == 0
@@ -620,6 +635,15 @@ def test_bad_freq_override_is_a_usage_error(capsys, item):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err == f"error: bad --freq override {item!r}; expected e.g. A=31\n"
+
+
+@pytest.mark.parametrize("flags", [("--epsilon", "0.5"), ("--duration", "0.3"), ("--rate", "100")])
+def test_bad_freq_override_is_a_usage_error_whatever_else_is_wrong(capsys, flags):
+    # every flag is parsed before the one with_overrides call checks any of them
+    with pytest.raises(SystemExit) as exc:
+        main(["plan-check", "--case", "a", *flags, "--freq", "Z=1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: bad --freq override 'Z=1'; expected e.g. A=31\n"
 
 
 def test_sample_count_above_bound_exits_one_before_sampling(tmp_path, capsys, monkeypatch):

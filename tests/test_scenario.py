@@ -271,7 +271,7 @@ def test_per_mirror_maps_are_read_only(name):
 
 
 def test_read_only_maps_leave_as_plain_dicts():
-    sc = standard_case("a").with_epsilon(0.02)
+    sc = standard_case("a").with_overrides(epsilon=0.02)
     data = sc.to_dict()
     assert type(data["mirror_freq"]) is dict and type(data["vib_amplitude"]) is dict
     assert pickle.loads(pickle.dumps(sc)) == sc == copy.deepcopy(sc)
@@ -316,20 +316,37 @@ def test_phi_refusals_keep_their_messages(value, message):
     assert str(exc.value) == message
 
 
-def test_with_epsilon_keeps_mirrors_at_rest():
+def test_epsilon_override_keeps_mirrors_at_rest():
     amps = {**standard_case("a").vib_amplitude, "B": 0.0, "E": 0.0}
-    sc = standard_case("a").with_overrides(vib_amplitude=amps).with_epsilon(0.02)
+    sc = standard_case("a").with_overrides(vib_amplitude=amps).with_overrides(epsilon=0.02)
     assert sc.epsilon == 0.02
     assert sc.vib_amplitude == {"A": 0.02, "B": 0.0, "C": 0.02, "E": 0.0, "F": 0.02}
 
 
-def test_with_epsilon_moves_every_vibrating_mirror():
-    sc = standard_case("c").with_epsilon(0.005)
+def test_epsilon_override_moves_every_vibrating_mirror():
+    sc = standard_case("c").with_overrides(epsilon=0.005)
     assert sc == standard_case("c").with_overrides(
         epsilon=0.005, vib_amplitude={m: 0.005 for m in MIRRORS}
     )
-    with pytest.raises(ValueError, match="epsilon"):
-        standard_case("c").with_epsilon(0.5)
+
+
+def test_epsilon_override_moves_all_five_amplitudes_of_case_b():
+    sc = standard_case("b").with_overrides(epsilon=0.02)
+    assert sc.vib_amplitude == {m: 0.02 for m in MIRRORS}
+    assert sc == Scenario(phi=0.0, kappa=1.0, epsilon=0.02)
+
+
+def test_epsilon_override_keeps_an_explicit_amplitude_map():
+    amps = {"A": 0.01, "B": 0.0, "C": 0.03, "E": 0.01, "F": 0.01}
+    sc = standard_case("b").with_overrides(epsilon=0.02, vib_amplitude=amps)
+    assert sc.epsilon == 0.02 and sc.vib_amplitude == amps
+
+
+@pytest.mark.parametrize("value", [0.5, float("nan")])
+def test_epsilon_override_refusal_names_epsilon(value):
+    with pytest.raises(ValueError) as exc:
+        standard_case("b").with_overrides(epsilon=value)
+    assert str(exc.value) == f"epsilon must lie in (0, 0.1), got {value}"
 
 
 @st.composite

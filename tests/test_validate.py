@@ -97,7 +97,7 @@ def test_quartic_constants_equal_one_engine_call_per_run():
     want = []
     for case in "abc":
         for eps in (0.04, 0.02, 0.01):
-            sc = standard_case(case).with_epsilon(eps)
+            sc = standard_case(case).with_overrides(epsilon=eps)
             coeffs, shifts = beam.path_coefficients(sc), beam.path_shifts(sc, times)
             exact = beam.exact_intensity(coeffs, shifts)
             second = beam.second_order_intensities(coeffs, shifts)
@@ -113,7 +113,7 @@ def test_quintic_amplitudes_equal_one_engine_call_per_run():
     times = np.arange(128) / 128.0
     want = []
     for eps in (0.01, 0.005):
-        sc = standard_case("c").with_epsilon(eps)
+        sc = standard_case("c").with_overrides(epsilon=eps)
         quad = beam.exact_quadcell(beam.path_coefficients(sc), beam.path_shifts(sc, times))
         want.append(float(np.max(np.abs(quad))))
     sc = standard_case("c")
