@@ -11,11 +11,10 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
 line. In this process it then times, in 5 repeats: each check of
-``validate.run_all``; both quadrature oracles over the 1000 fields of the
-oracle check (``validate.oracle_fields``), per call of each scalar
-wrapper and per field of each batched form; the beam engine on 64, 1024
-and 8192 samples of case a, and ``power_spectrum`` and ``attribute_peaks``
-on the last two;
+``validate.run_all``; both batched quadrature oracles, per field over the
+1000 fields of the oracle check (``validate.oracle_fields``); the beam
+engine on 64, 1024 and 8192 samples of case a, and ``power_spectrum`` and
+``attribute_peaks`` on the last two;
 ``fock.output_state``, ``norm_series``, ``bcjlss_output_state`` and the
 projector probabilities of all five mirrors (``mode_projection_probability_x5``,
 on a new state of the same arrays each time) at orders 4 and 12;
@@ -112,27 +111,15 @@ def best_and_median(name: str, times) -> dict:
 
 
 def oracle_timings() -> dict:
-    """Seconds per field of each oracle: per scalar call and batched."""
+    """Seconds per field of each batched quadrature oracle, the forms
+    ``validate`` calls."""
     coeffs, shifts = validate.oracle_fields()
-    fields = [  # the columns without their zero-coefficient padding
-        beam.BeamField(
-            tuple(beam.BeamComponent(complex(c), float(s)) for c, s in zip(cs, ss) if c != 0)
-        )
-        for cs, ss in zip(coeffs.T, shifts.T)
-    ]
-    def per_field(fn):
-        return [t / len(fields) for t in repeat_times(fn)]
-
-    per_call = {
-        oracle.__name__: per_field(lambda: [oracle(f) for f in fields])
-        for oracle in (beam.total_intensity_quadrature, beam.quadcell_signal_quadrature)
-    }
+    fields = coeffs.shape[1]
     batched = {
-        oracle.__name__: per_field(lambda: oracle(coeffs, shifts))
+        oracle.__name__: [t / fields for t in repeat_times(lambda: oracle(coeffs, shifts))]
         for oracle in (beam.quadrature_intensity, beam.quadrature_quadcell)
     }
-    return {"oracle_fields": len(fields), **best_and_median("oracle_per_call", per_call),
-            **best_and_median("oracle_batched_per_field", batched)}
+    return {"oracle_fields": fields, **best_and_median("oracle_batched_per_field", batched)}
 
 
 def sample_layer_timings(samples: int) -> dict:

@@ -31,6 +31,8 @@ def _parse_freq_overrides(items):
             mirror = mirror.strip().upper()
             if mirror not in MIRRORS:
                 raise ValueError
+            if mirror in out:
+                _usage_error(f"--freq sets mirror {mirror} more than once")
             out[mirror] = float(value)
         except ValueError:
             _usage_error(f"bad --freq override {item!r}; expected e.g. A=31")

@@ -60,6 +60,12 @@ _CASE_PHI_KAPPA = {
 
 _FREQ_TOL = 1e-9
 
+
+def _whole(count: float) -> bool:
+    """count (samples, a tone's cycles, a bin) is finite and within _FREQ_TOL of an integer."""
+    return math.isfinite(count) and abs(count - round(count)) <= _FREQ_TOL
+
+
 # Powers of eps above ~20 carry nothing in double precision for eps < 0.1.
 MAX_SERIES_ORDER = 64
 # A detector run holds about 17 doubles per sample (the mirror rows, the path
@@ -108,9 +114,6 @@ class Scenario:
             object.__setattr__(
                 self, "vib_amplitude", {m: self.epsilon for m in MIRRORS}
             )
-        self._validate()
-
-    def _validate(self):
         # Store every number as a float (series_order as an int), so the
         # checks below and every model see one numeric type.
         for name in ("phi", "kappa", "epsilon", "duration", "sample_rate"):
@@ -135,17 +138,11 @@ class Scenario:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         samples = self.sample_rate * self.duration
-        if not math.isfinite(samples) or abs(samples - round(samples)) > _FREQ_TOL:
-            # the periodogram is leakage-free only over whole samples
-            raise ValueError(
-                f"sample_rate {self.sample_rate} * duration {self.duration} = "
-                f"{samples} is not an integer number of samples"
-            )
-        if round(samples) > MAX_SAMPLES:
-            raise ValueError(
-                f"sample_rate {self.sample_rate} * duration {self.duration} = "
-                f"{samples:g} samples, more than MAX_SAMPLES = {MAX_SAMPLES}"
-            )
+        if not _whole(samples) or round(samples) > MAX_SAMPLES:
+            # the periodogram is leakage-free only over whole samples; MAX_SAMPLES bounds memory
+            fault = (f"{samples} is not an integer number of samples" if not _whole(samples)
+                     else f"{samples:g} samples, more than MAX_SAMPLES = {MAX_SAMPLES}")
+            raise ValueError(f"sample_rate {self.sample_rate} * duration {self.duration} = {fault}")
         if not 3 <= self.series_order <= MAX_SERIES_ORDER:
             raise ValueError(f"series_order must lie in [3, {MAX_SERIES_ORDER}]")
         for m in MIRRORS:
@@ -153,11 +150,7 @@ class Scenario:
             if f <= 0:
                 raise ValueError(f"mirror_freq[{m}] must be positive")
             cycles = f * self.duration
-            if (
-                not math.isfinite(cycles)
-                or abs(cycles - round(cycles)) > _FREQ_TOL
-                or round(cycles) < 1
-            ):
+            if not _whole(cycles) or round(cycles) < 1:
                 raise ValueError(
                     f"mirror_freq[{m}]={f} is not an integer number of cycles "
                     f"per window T={self.duration}"

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beam
-from .scenario import Scenario, check_frequency_plan, tone_catalogue
+from .scenario import Scenario, _whole, check_frequency_plan, tone_catalogue
 
 RESIDUAL_THRESHOLD = 1e-3
 
@@ -36,17 +36,21 @@ _ENGINES = {
 class TimeSeries:
     samples: np.ndarray
     sample_rate: float
-    duration: float
 
     def __post_init__(self):
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=float)
         )
-        n = int(round(self.sample_rate * self.duration))
-        if len(self.samples) != n:
-            raise ValueError(f"expected {n} samples, got {len(self.samples)}")
+        if len(self.samples) == 0:
+            raise ValueError("empty series")
+        if not 0.0 < self.sample_rate < np.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("series contains NaN/Inf")
+
+    @property
+    def duration(self) -> float:
+        return len(self.samples) / self.sample_rate
 
     @property
     def times(self) -> np.ndarray:
@@ -60,8 +64,11 @@ class PowerSpectrum:
     duration: float
 
     def bin_index(self, freq: float) -> int:
-        """The bin of freq: round(freq * duration), which must be in range."""
-        k = int(round(freq * self.duration))
+        """The bin of freq: freq * duration, which must be a whole number in range."""
+        cycles = freq * self.duration
+        if not _whole(cycles):
+            raise ValueError(f"frequency {freq} is not on a bin of the {self.duration} s window")
+        k = int(round(cycles))
         if not 0 <= k < len(self.power):
             raise ValueError(f"frequency {freq} outside spectrum range")
         return k
@@ -112,7 +119,7 @@ def sample_detector(
     coeffs = beam.path_coefficients(scenario)
     shifts = beam.path_shifts(scenario, np.arange(n) / scenario.sample_rate)
     out = engine(coeffs, shifts)
-    return TimeSeries(out, scenario.sample_rate, scenario.duration)
+    return TimeSeries(out, scenario.sample_rate)
 
 
 def power_spectrum(ts: TimeSeries) -> PowerSpectrum:
@@ -124,8 +131,6 @@ def power_spectrum(ts: TimeSeries) -> PowerSpectrum:
     """
     x = ts.samples
     n = len(x)
-    if n == 0:
-        raise ValueError("empty series")
     x = x - x.mean()
     spec = np.fft.rfft(x)
     power = np.abs(spec) ** 2 / n**2

@@ -255,7 +255,7 @@ def check_attribution_soundness():
     x = np.zeros(n)
     for m in MIRRORS:
         x += amps[m] * np.sin(2 * np.pi * 2 * sc.mirror_freq[m] * t)
-    ts = spectra.TimeSeries(x, sc.sample_rate, sc.duration)
+    ts = spectra.TimeSeries(x, sc.sample_rate)
     report = spectra.attribute_peaks(spectra.power_spectrum(ts), sc, "total")
     worst = max(
         abs(report.mirrors[m]["power"] / (amps[m] ** 2 / 2) - 1) for m in MIRRORS

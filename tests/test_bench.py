@@ -30,7 +30,8 @@ def run_line(metrics=METRICS, attempted=41, failed=0):
 def test_record_schema_from_canned_run_lines():
     bench = load_bench()
     lines = {w["name"]: run_line(attempted=10 + i) for i, w in enumerate(BENCHMARK["workloads"])}
-    layers = {"best_of": 5, "validate_check_s": {}, "oracle_fields": 1000, "oracle_per_call_s": {}}
+    layers = {"best_of": 5, "validate_check_s": {}, "oracle_fields": 1000,
+              "oracle_batched_per_field_s": {}}
     record = json.loads(json.dumps(bench.bench_record(3, BENCHMARK, lines, layers)))
     assert set(record) == {"change", "machine", "end_to_end", "layers"}
     assert record["change"] == 3 and record["layers"] == layers
@@ -63,7 +64,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "BEST_OF", 1)
     monkeypatch.setattr(bench, "CALLS", 1)
     layers = json.loads(json.dumps(bench.layer_timings()))
-    timed = ("validate_check", "oracle_per_call", "oracle_batched_per_field",
+    timed = ("validate_check", "oracle_batched_per_field",
              "samples_per_call", "fock_per_call", "write_artifacts", "write_artifacts_cold",
              "cli_main")
     assert set(layers) == {"best_of", "oracle_fields"} | {
@@ -76,9 +77,6 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         best, median = layers[f"{name}_s"], layers[f"{name}_median_s"]
         # one repeat: the median is that repeat, as is the best
         assert median == best, name
-    assert set(layers["oracle_per_call_s"]) == {
-        "total_intensity_quadrature", "quadcell_signal_quadrature"
-    }
     assert set(layers["oracle_batched_per_field_s"]) == {
         "quadrature_intensity", "quadrature_quadcell"
     }
@@ -105,7 +103,6 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         layers["write_artifacts_cold_s"],
         layers["cli_main_s"],
         *layers["validate_check_s"].values(),
-        *layers["oracle_per_call_s"].values(),
         *layers["oracle_batched_per_field_s"].values(),
         *(t for d in layers["samples_per_call_s"].values() for t in d.values()),
         *(t for d in layers["fock_per_call_s"].values() for t in d.values()),

@@ -646,6 +646,18 @@ def test_bad_freq_override_is_a_usage_error_whatever_else_is_wrong(capsys, flags
     assert capsys.readouterr().err == "error: bad --freq override 'Z=1'; expected e.g. A=31\n"
 
 
+@pytest.mark.parametrize("freqs", [("A=31", "A=43"), ("a=31", "A=32"), ("A=31", "B=43", " a =43")])
+@pytest.mark.parametrize("command", ["plan-check", "fock", "spectrum"])
+def test_a_mirror_named_twice_in_freq_is_a_usage_error(tmp_path, capsys, command, freqs):
+    # one of the two values would be dropped without a word
+    out = ["--out", str(tmp_path / "x")] if command == "spectrum" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--case", "a", *out, *(f for v in freqs for f in ("--freq", v))])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --freq sets mirror A more than once\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_sample_count_above_bound_exits_one_before_sampling(tmp_path, capsys, monkeypatch):
     # 1e9 samples would ask numpy for some 136 GB: fail rather than sample.
     monkeypatch.setattr(spectra, "run", lambda *args: pytest.fail("sampled"))

@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -576,3 +577,110 @@ def test_output_state_memory_grows_with_order_not_its_square():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+# -- closed forms from the path table ------------------------------------
+# output_state puts (w_p / 3) eps^|S| (1 + eps^2)^(-|M_p|/2) on the mode of
+# every subset S of path p's mirrors M_p. Summed over modes the subsets
+# collapse, since the sum over S in I of eps^(2|S|) is (1 + eps^2)^|I|. So,
+# with w = path_weights / 3, I = M_p & M_q and h = (|M_p| + |M_q|) / 2, the
+# readouts are exact in eps, without the series arithmetic or gather tables
+# of output_state:
+#   norm        sum_{p,q} Re(w_p conj w_q) (1 + eps^2)^(|I| - h)
+#   projector   eps^2 sum_{p,q: m in I} Re(w_p conj w_q) (1 + eps^2)^(|I| - 1 - h)
+#   zero mode   |sum_p w_p (1 + eps^2)^(-|M_p|/2)|^2
+# Where the paths nearly cancel (kappa = 0, phi -> 0) the norm falls to about
+# 2 eps^2 / 9, so errors are scaled by sum_{p,q} |w_p| |w_q|, not by the value.
+
+
+def path_pairs(phi, kappa):
+    """(Re(w_p conj w_q), I, |I| - h) over every ordered pair of PATHS."""
+    w = [complex(x) / 3 for x in path_weights(phi, kappa)]
+    sets = [set(path) for path in PATHS]
+    return [
+        ((w[p] * w[q].conjugate()).real, sets[p] & sets[q],
+         len(sets[p] & sets[q]) - (len(sets[p]) + len(sets[q])) // 2)
+        for p, q in itertools.product(range(len(PATHS)), repeat=2)
+    ]
+
+
+def closed_form_readouts(phi, kappa, eps):
+    """(norm, {mirror: projector}, zero mode, sum |w_p| |w_q|), exact in eps."""
+    w = [complex(x) / 3 for x in path_weights(phi, kappa)]
+    pairs, s = path_pairs(phi, kappa), 1.0 + eps**2
+    norm = sum(re * s**e for re, _, e in pairs)
+    proj = {m: eps**2 * sum(re * s ** (e - 1) for re, common, e in pairs if m in common)
+            for m in MIRRORS}
+    zero = abs(sum(wp * s ** (-len(path) / 2) for wp, path in zip(w, PATHS))) ** 2
+    return norm, proj, zero, sum(map(abs, w)) ** 2
+
+
+def closed_form_errors(phi, kappa, eps, order):
+    """Scaled errors of norm_series(...).eval, every projector and the zero
+    mode of output_state against the closed forms; projectors over eps^2 too."""
+    state = output_state(phi, kappa, order)
+    norm, proj, zero, scale = closed_form_readouts(phi, kappa, eps)
+    return (
+        abs(norm_series(state).eval(eps) - norm) / scale,
+        max(abs(mode_projection_probability(state, m, eps) - proj[m]) for m in MIRRORS)
+        / (scale * eps**2),
+        abs(zero_mode_probability(state, eps) - zero) / scale,
+    )
+
+
+def random_draws(seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        yield (float(rng.uniform(0.0, 2 * math.pi)), float(rng.integers(0, 2)),
+               float(rng.uniform(0.002, 0.1)))
+
+
+def test_readouts_at_order_40_equal_the_closed_forms():
+    # At order 40 the truncation (eps^41 < 1e-41) is far below rounding. The
+    # worst scaled errors over 2000 draws were 3.7e-16 (norm), 1.4e-15
+    # (projectors, over eps^2 too) and 1.0e-15 (zero mode).
+    for phi, kappa, eps in random_draws(40, 300):
+        errors = closed_form_errors(phi, kappa, eps, 40)
+        assert max(errors) < 4e-15, (phi, kappa, eps, errors)
+
+
+def test_readouts_at_orders_3_to_40_follow_the_truncation():
+    # A truncated state misses terms from eps^(order + 1) on. Over 300 draws
+    # per order, the worst scaled error past a rounding floor of 2e-15, over
+    # eps^(order + 1), was 3.1 (norm), 0.58 (projectors, scaled by eps^2 too)
+    # and 5.8 (zero mode); the bound takes 10 and a floor of 4e-15.
+    for order in range(3, 41):
+        for phi, kappa, eps in random_draws(order, 20):
+            truncation = 10 * eps ** (order + 1)
+            norm, proj, zero = closed_form_errors(phi, kappa, eps, order)
+            assert norm < truncation + 4e-15, (order, phi, kappa, eps)
+            assert proj < truncation / eps**2 + 4e-15, (order, phi, kappa, eps)
+            assert zero < truncation + 4e-15, (order, phi, kappa, eps)
+
+
+def binomial(exponent, j):
+    """binom(exponent, j) as a Fraction, for any integer exponent."""
+    out = Fraction(1)
+    for i in range(j):
+        out *= Fraction(exponent - i, i + 1)
+    return out
+
+
+def test_norm_series_is_the_binomial_expansion_of_the_closed_form():
+    # The eps^k coefficient of the norm reads the state's coefficients up to
+    # eps^k only, so it equals the expansion at any order, truncated or not.
+    # The exponents |I| - h are 0 (a path with itself), -1 (the inner arms,
+    # which share E and F) and -2 (C with an inner arm, no mirror in common),
+    # and |binom(-2, j)| = j + 1 is the largest. The eps^k coefficient sums
+    # k + 1 products; over 40 draws per order the worst error over
+    # (k + 1) sum_{p,q} |Re(w_p conj w_q)| was 1.6e-15.
+    for order in range(3, 41):
+        for phi, kappa, _ in random_draws(100 + order, 3):
+            pairs = path_pairs(phi, kappa)
+            assert {e for _, _, e in pairs} == {0, -1, -2}
+            total = sum(abs(re) for re, _, _ in pairs)
+            coeffs = norm_series(output_state(phi, kappa, order)).coeffs
+            assert len(coeffs) == order + 1
+            for k, c in enumerate(coeffs):
+                want = sum(re * float(binomial(e, k // 2)) for re, _, e in pairs) if k % 2 == 0 else 0
+                assert abs(c - want) <= 5e-15 * (k + 1) * total, (order, k, phi, kappa)

@@ -20,7 +20,7 @@ def tone_series(amps_freqs, rate=1024.0, duration=1.0, dc=0.0):
     x = np.full(n, dc)
     for amp, freq in amps_freqs:
         x = x + amp * np.sin(2 * np.pi * freq * t)
-    return TimeSeries(x, rate, duration)
+    return TimeSeries(x, rate)
 
 
 def dft_bin_power_oracle(ts, freq):
@@ -65,14 +65,30 @@ def test_bin_freqs_layout():
 
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
-        TimeSeries(np.array([]), 1024.0, 1.0)
+        TimeSeries(np.array([]), 1024.0)
 
 
 def test_nan_rejected():
     x = np.zeros(1024)
     x[3] = np.nan
     with pytest.raises(ValueError, match="NaN"):
-        TimeSeries(x, 1024.0, 1.0)
+        TimeSeries(x, 1024.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1024.0, math.inf, math.nan])
+def test_rate_must_be_positive_and_finite(rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+        TimeSeries(np.zeros(1024), rate)
+
+
+@pytest.mark.parametrize("n,rate", [(1024, 1024.0), (1000, 1000.4), (6000, 3000.0), (7, 3.5)])
+def test_duration_is_the_sample_count_over_the_rate(n, rate):
+    x = np.zeros(n)
+    ts = TimeSeries(x, rate)
+    assert ts.duration == power_spectrum(ts).duration == len(x) / rate
+    # the window is worked out from the samples, never given
+    with pytest.raises(TypeError):
+        TimeSeries(x, rate, len(x) / rate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,7 +117,7 @@ def test_parseval_on_white_noise(n):
     # white noise has Nyquist content, which an even length puts in one
     # unpaired bin
     x = np.random.default_rng(n).standard_normal(n)
-    spec = power_spectrum(TimeSeries(x, float(n), 1.0))
+    spec = power_spectrum(TimeSeries(x, float(n)))
     x = x - x.mean()
     assert float(np.sum(spec.power)) == pytest.approx(float(np.mean(x**2)), rel=1e-12)
 
@@ -163,6 +179,37 @@ def test_attribution_refuses_a_bin_beyond_the_spectrum():
         attribute_peaks(spec, standard_case("a"), "total")
     with pytest.raises(ValueError, match="frequency 118.0 outside spectrum range"):
         spec.bin_power(118.0)
+
+
+def test_a_frequency_between_bins_is_refused():
+    spec = power_spectrum(tone_series([(1.0, 31.0)]))
+    with pytest.raises(ValueError, match=r"frequency 31.5 is not on a bin of the 1.0 s window"):
+        spec.bin_power(31.5)
+    assert spec.bin_power(31.0) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_a_series_whose_rate_puts_no_tone_on_a_bin_is_refused():
+    # 1000 samples at 1000.4 Hz span 0.9996 s: bin 31 sits at 31.0124 Hz, so
+    # no tone of case a's plan lands on a bin of this window
+    t = np.arange(1000) / 1000.4
+    ts = TimeSeries(0.1 * np.sin(2 * np.pi * 62.0 * t), 1000.4)
+    spec = power_spectrum(ts)
+    assert spec.freqs[31] == pytest.approx(31.0124, abs=1e-4)
+    for detector in spectra.DETECTORS:
+        with pytest.raises(ValueError, match="is not on a bin of the 0.9996"):
+            attribute_peaks(spec, standard_case("a"), detector)
+
+
+def test_a_spectrum_of_another_window_is_refused():
+    # A at 30.5 Hz makes whole cycles in the scenario's 2 s window, but falls
+    # between the 1 Hz bins of case a's 1 s spectrum
+    sc = standard_case("a").with_overrides(
+        duration=2.0, mirror_freq={**standard_case("a").mirror_freq, "A": 30.5}
+    )
+    assert spectra.check_frequency_plan(sc).ok
+    spec = power_spectrum(sample_detector(standard_case("a"), "quad"))
+    with pytest.raises(ValueError, match="frequency 30.5 is not on a bin of the 1.0 s window"):
+        attribute_peaks(spec, sc, "quad")
 
 
 def test_attribution_skips_inactive_mirrors():
