@@ -138,7 +138,7 @@ class Scenario:
         if self.duration <= 0:
             raise ValueError("duration must be positive")
         samples = self.sample_rate * self.duration
-        if not _whole(samples) or round(samples) > MAX_SAMPLES:
+        if not _whole(samples) or self.sample_count > MAX_SAMPLES:
             # the periodogram is leakage-free only over whole samples; MAX_SAMPLES bounds memory
             fault = (f"{samples} is not an integer number of samples" if not _whole(samples)
                      else f"{samples:g} samples, more than MAX_SAMPLES = {MAX_SAMPLES}")
@@ -163,6 +163,11 @@ class Scenario:
             raise ValueError(
                 f"sample_rate {self.sample_rate} too low; need > {4.0 * top}"
             )
+
+    @property
+    def sample_count(self) -> int:
+        """Samples in the window: sample_rate * duration, a whole number once checked."""
+        return int(round(self.sample_rate * self.duration))
 
     # -- JSON round trip -------------------------------------------------
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import beam
-from .scenario import Scenario, _whole, check_frequency_plan, tone_catalogue
+from .scenario import _FREQ_TOL, Scenario, _whole, check_frequency_plan, tone_catalogue
 
 RESIDUAL_THRESHOLD = 1e-3
 
@@ -64,13 +64,16 @@ class PowerSpectrum:
     duration: float
 
     def bin_index(self, freq: float) -> int:
-        """The bin of freq: freq * duration, which must be a whole number in range."""
+        """Bin k of freq: freq * duration and freqs[k] * duration must both be k, in range."""
         cycles = freq * self.duration
         if not _whole(cycles):
             raise ValueError(f"frequency {freq} is not on a bin of the {self.duration} s window")
         k = int(round(cycles))
         if not 0 <= k < len(self.power):
             raise ValueError(f"frequency {freq} outside spectrum range")
+        if abs(self.freqs[k] * self.duration - k) > _FREQ_TOL:
+            raise ValueError(f"bin {k} sits at {self.freqs[k]} Hz, not {freq} Hz: "
+                             f"freqs disagree with the {self.duration} s window")
         return k
 
     def bin_power(self, freq: float) -> float:
@@ -115,9 +118,8 @@ def sample_detector(
     if (engine := _ENGINES.get((detector, model))) is None:
         raise ValueError(f"no engine for detector {detector!r}, model {model!r}: "
                          f"detectors are {DETECTORS}, models {MODELS}")
-    n = int(round(scenario.sample_rate * scenario.duration))
     coeffs = beam.path_coefficients(scenario)
-    shifts = beam.path_shifts(scenario, np.arange(n) / scenario.sample_rate)
+    shifts = beam.path_shifts(scenario, np.arange(scenario.sample_count) / scenario.sample_rate)
     out = engine(coeffs, shifts)
     return TimeSeries(out, scenario.sample_rate)
 

@@ -249,10 +249,9 @@ def check_parseval():
 
 def check_attribution_soundness():
     sc = standard_case("a")
-    n = int(round(sc.sample_rate * sc.duration))
-    t = np.arange(n) / sc.sample_rate
+    t = np.arange(sc.sample_count) / sc.sample_rate
     amps = {"A": 0.3, "B": 0.11, "C": 0.22, "E": 0.04, "F": 0.15}
-    x = np.zeros(n)
+    x = np.zeros_like(t)
     for m in MIRRORS:
         x += amps[m] * np.sin(2 * np.pi * 2 * sc.mirror_freq[m] * t)
     ts = spectra.TimeSeries(x, sc.sample_rate)

@@ -145,7 +145,7 @@ def test_quadrature_basics():
 
 
 def test_quadrature_step_halving_agreement():
-    # The oracle's step 0.25 against the plain trapezoid at step 5e-4.
+    # The Gauss-Hermite oracle against the plain trapezoid at step 5e-4.
     field = BeamField((BeamComponent(0.4 - 0.3j, 0.05), BeamComponent(1.0, -0.02)))
     coarse = total_intensity_quadrature(field)
     fine = reference_total(field, 8.0, 5e-4)
@@ -443,19 +443,22 @@ def reference_total(field, half_width, step):
     return float(np.trapezoid(np.abs(reference_value(field, y)) ** 2, y))
 
 
-def reference_quadcell(field, half_width, nodes):
+def reference_quadcell(field, half_width, nodes, panels=1):
+    """Gauss-Legendre of the given nodes on each of ``panels`` equal panels
+    of [0, half_width], and the same nodes mirrored on [-half_width, 0]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    y = 0.5 * half_width * (x + 1.0)
-    wy = 0.5 * half_width * w
+    width = half_width / panels
+    y = np.concatenate([p * width + 0.5 * width * (x + 1.0) for p in range(panels)])
+    wy = np.tile(0.5 * width * w, panels)
     pos = float(np.sum(wy * np.abs(reference_value(field, y)) ** 2))
     neg = float(np.sum(wy * np.abs(reference_value(field, -y)) ** 2))
     return pos - neg
 
 
-def random_field(rng, size):
+def random_field(rng, size, span=0.1):
     return BeamField(
         tuple(
-            BeamComponent(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(-0.1, 0.1)))
+            BeamComponent(complex(*rng.uniform(-1, 1, 2)), float(rng.uniform(-span, span)))
             for _ in range(size)
         )
     )
@@ -476,6 +479,39 @@ def half_line_rule(half_width, nodes):
     return np.concatenate([y, -y]), np.concatenate([w, -w])
 
 
+def hermite_rule(nodes):
+    """Gauss-Hermite for the weight exp(-2 y^2), folded into the weights."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    y = x / math.sqrt(2.0)
+    return y, w / math.sqrt(2.0) * np.exp(2.0 * y * y)
+
+
+def laguerre_rule(nodes):
+    """Gauss-Laguerre in u = y^2 for the half-line difference: nodes +-y,
+    y = sqrt(x / 2), weights +-W exp(x) / (4 y) for the rule (x, W) of the
+    weight exp(-x), from the eigenvectors of its Jacobi matrix."""
+    k = np.arange(1.0, nodes)
+    jacobi = np.diag(2.0 * np.arange(nodes) + 1.0) + np.diag(k, 1) + np.diag(k, -1)
+    x, v = np.linalg.eigh(jacobi)
+    y = np.sqrt(x / 2.0)
+    w = v[0] ** 2 * np.exp(x) / (4.0 * y)
+    return np.concatenate([y, -y]), np.concatenate([w, -w])
+
+
+def worst_errors(fields, total_rule, quad_rule):
+    """Worst errors of two rules over fields against the wide references,
+    scaled as validate.check_detector_oracles scales them."""
+    worst_t = worst_q = 0.0
+    for field in fields:
+        ref_total = reference_total(field, 10.0, 0.125)
+        ref_quad = reference_quadcell(field, 8.0, 16, panels=8)
+        total = on_rule(field, *total_rule)
+        quad = on_rule(field, *quad_rule)
+        worst_t = max(worst_t, abs(total - ref_total) / ref_total)
+        worst_q = max(worst_q, abs(quad - ref_quad) / max(abs(ref_quad), ref_total))
+    return worst_t, worst_q
+
+
 def on_rule(field, y, w):
     return beam._rule_sum(*beam.stack_fields([field]), (y, w))[0]
 
@@ -485,12 +521,9 @@ def on_rule(field, y, w):
 )
 def test_oracles_match_plain_references(half_width, step, nodes):
     # The oracles' evaluation (real blocks of Gaussians, precomputed weights)
-    # on each grid against the plain term-by-term references on that grid;
-    # the first grid is the oracles' own, where both oracles equal their
-    # evaluation exactly.
+    # on each grid against the plain term-by-term references on that grid.
     total_rule = trapezoid_rule(half_width, step)
     quad_rule = half_line_rule(half_width, nodes)
-    own = (half_width, step, nodes) == (8.0, 0.25, 60)
     rng = np.random.default_rng(11)
     for i in range(60):
         field = random_field(rng, i % 4)
@@ -498,16 +531,66 @@ def test_oracles_match_plain_references(half_width, step, nodes):
         ref_quad = reference_quadcell(field, half_width, nodes)
         total = on_rule(field, *total_rule)
         quad = on_rule(field, *quad_rule)
-        if own:
-            assert total_intensity_quadrature(field) == total
-            assert quadcell_signal_quadrature(field) == quad
         assert abs(total - ref_total) <= 1e-14 * ref_total
         assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
 
 
+def test_oracles_are_their_rules_on_plain_references():
+    # Both oracles equal their evaluation on the Gauss-Hermite 16 and
+    # Gauss-Laguerre 8 rules built here exactly, and the plain term-by-term
+    # sums on those nodes within 1e-14. The Laguerre rule is numpy's laggauss
+    # rule, whose weights are off the exact ones by up to 8e-15 at 8 nodes.
+    total_rule, quad_rule = hermite_rule(16), laguerre_rule(8)
+    x, w = np.polynomial.laguerre.laggauss(8)
+    y = np.sqrt(x / 2.0)
+    assert np.allclose(quad_rule[0][:8], y, rtol=2e-15, atol=0.0)
+    assert np.allclose(quad_rule[1][:8], w * np.exp(x) / (4.0 * y), rtol=1e-14, atol=0.0)
+    rng = np.random.default_rng(11)
+    for i in range(60):
+        field = random_field(rng, i % 4)
+        total = on_rule(field, *total_rule)
+        quad = on_rule(field, *quad_rule)
+        assert total_intensity_quadrature(field) == total
+        assert quadcell_signal_quadrature(field) == quad
+        (yt, wt), (yq, wq) = total_rule, quad_rule
+        ref_total = float(np.sum(wt * np.abs(reference_value(field, yt)) ** 2))
+        ref_quad = float(np.sum(wq * np.abs(reference_value(field, yq)) ** 2))
+        assert abs(total - ref_total) <= 1e-14 * ref_total
+        assert abs(quad - ref_quad) <= 1e-14 * max(abs(ref_quad), ref_total)
+
+
+def test_oracles_hold_on_their_shift_domain():
+    # Fields with shifts up to 0.5 against the wide references, scaled as
+    # validate scales them. Gauss-Hermite 12 and Gauss-Laguerre 5 miss the
+    # bound on the same fields, so neither node count can be cut that far.
+    rng = np.random.default_rng(29)
+    fields = [random_field(rng, int(size), span=0.5) for size in rng.integers(1, 4, 300)]
+    worst_t, worst_q = worst_errors(fields, beam._hermite_rule(), beam._laguerre_rule())
+    assert worst_t <= 2e-15 and worst_q <= 2e-15
+    worst_t, worst_q = worst_errors(fields, hermite_rule(12), laguerre_rule(5))
+    assert worst_t > 2e-15 and worst_q > 1e-13
+
+
+@pytest.mark.parametrize("s", [0.5, -0.6, 0.7, -0.7])
+def test_oracle_rules_keep_a_margin_beyond_the_domain(s):
+    # A lone Gaussian at s: int exp(-2 (y - s)^2) = sqrt(pi/2), with quad-cell
+    # difference sqrt(pi/2) erf(sqrt(2) s). Both rules hold 1e-15 to |s| = 0.7;
+    # Gauss-Hermite 12 and Gauss-Laguerre 6 lose it there.
+    coeffs, shifts = np.ones((1, 1), complex), np.full((1, 1), s)
+    quad = SQRT_HALF_PI * math.erf(math.sqrt(2.0) * s)
+    assert abs(beam.quadrature_intensity(coeffs, shifts)[0] / SQRT_HALF_PI - 1) <= 1e-15
+    assert abs(beam.quadrature_quadcell(coeffs, shifts)[0] - quad) <= 1e-15 * SQRT_HALF_PI
+    if abs(s) == 0.7:
+        coarse = beam._rule_sum(coeffs, shifts, hermite_rule(12))[0]
+        assert abs(coarse / SQRT_HALF_PI - 1) > 1e-13
+        coarse = beam._rule_sum(coeffs, shifts, laguerre_rule(6))[0]
+        assert abs(coarse - quad) > 1e-14 * SQRT_HALF_PI
+
+
 def test_oracles_match_plain_references_on_a_finer_wider_grid():
-    # The oracles' fixed grids (step 0.25 and 60 nodes per half-line on
-    # [-8, 8]) against half the step, twice the nodes and half-width 10.
+    # The oracles' fixed rules (Gauss-Hermite 16, Gauss-Laguerre 8 in y^2)
+    # against the trapezoid of step 0.125 and 120 Gauss-Legendre nodes per
+    # half-line, both on [-10, 10].
     rng = np.random.default_rng(11)
     for i in range(60):
         field = random_field(rng, i % 4)
@@ -522,12 +605,11 @@ def test_oracles_match_plain_references_on_a_finer_wider_grid():
 
 
 def test_cached_rules_are_read_only():
-    rules = (beam._trapezoid_rule, beam._half_line_rule)
-    for rule, size in zip(rules, (65, 120)):
+    for rule in (beam._hermite_rule, beam._laguerre_rule):
         y, w = rule()
         assert rule() is rule()
-        assert y.shape == w.shape == (size,)
-        assert np.abs(y).max() <= 8.0
+        assert y.shape == w.shape == (16,)
+        assert np.abs(y).max() <= 3.4
         for a in (y, w):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
@@ -536,8 +618,8 @@ def test_cached_rules_are_read_only():
 def test_rules_are_not_built_at_import():
     code = (
         "from nestedmzi import beam; "
-        "print(beam._trapezoid_rule.cache_info().currsize, "
-        "beam._half_line_rule.cache_info().currsize)"
+        "print(beam._hermite_rule.cache_info().currsize, "
+        "beam._laguerre_rule.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
@@ -567,9 +649,9 @@ def test_batched_oracles_equal_the_scalar_wrappers(count):
 
 def test_oracle_rules_converge_on_a_lone_gaussian():
     # int exp(-2 (y - s)^2) = sqrt(pi/2) over the line, and its quad-cell
-    # difference is sqrt(pi/2) erf(sqrt(2) s). A step of 0.5 or 30 nodes per
-    # half-line misses the 1e-15 bound: the rules cannot be coarsened. At
-    # s = 0 every mirrored half-line rule gives 0, so only s != 0 can miss.
+    # difference is sqrt(pi/2) erf(sqrt(2) s). A trapezoid of step 0.5 and 30
+    # Gauss-Legendre nodes per half-line miss the 1e-15 bound. At s = 0
+    # every mirrored half-line rule gives 0, so only s != 0 can miss.
     coarse_total = trapezoid_rule(8.0, 0.5)
     coarse_quad = half_line_rule(8.0, 30)
     for s in (0.0, 0.03, -0.07, 0.1):
@@ -589,7 +671,7 @@ def test_far_off_grid_shifts_match_the_direct_evaluation(shift):
     # The oracle against the plain term-by-term evaluation on its nodes,
     # alone and next to a component on the grid: no overflow warning, and
     # equal within 1e-14 or both exactly 0 where every node underflows.
-    y, w = beam._trapezoid_rule()
+    y, w = beam._hermite_rule()
     far = BeamComponent(0.7 - 0.3j, shift)
     for field in (BeamField((far,)), BeamField((far, BeamComponent(0.2 + 0.5j, 0.05)))):
         with warnings.catch_warnings():

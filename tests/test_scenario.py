@@ -18,6 +18,7 @@ from nestedmzi.scenario import (
     standard_case,
     tone_catalogue,
 )
+from nestedmzi.spectra import sample_detector
 
 
 def test_standard_cases_phi_kappa():
@@ -259,6 +260,13 @@ def test_sample_count_is_bounded_and_names_both_fields():
         standard_case("a").with_overrides(sample_rate=1e9)
     with pytest.raises(ValueError, match=r"^sample_rate 1024.0 \* duration 2048.0 = .*MAX_SAMPLES"):
         standard_case("a").with_overrides(duration=2048.0)
+
+
+@pytest.mark.parametrize("rate,count", [(1024.0, 1024), (1024.0000000001, 1024), (3000.0, 3000)])
+def test_sample_count_is_the_whole_count_of_the_window(rate, count):
+    sc = standard_case("a").with_overrides(sample_rate=rate)
+    assert type(sc.sample_count) is int and sc.sample_count == count
+    assert len(sample_detector(sc).samples) == count
 
 
 @pytest.mark.parametrize("name", ["mirror_freq", "vib_amplitude"])

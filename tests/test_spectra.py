@@ -212,6 +212,18 @@ def test_a_spectrum_of_another_window_is_refused():
         attribute_peaks(spec, sc, "quad")
 
 
+def test_a_window_that_disagrees_with_the_frequencies_is_refused():
+    # A 1-s spectrum given a 2-s window: 31 Hz makes 62 cycles, and bin 62
+    # sits at 62 Hz, not 31 Hz, so neither reading nor attribution goes ahead
+    spec = power_spectrum(sample_detector(standard_case("a"), "quad"))
+    assert spec.bin_index(31.0) == 31
+    wrong = spectra.PowerSpectrum(spec.freqs, spec.power, 2.0)
+    with pytest.raises(ValueError, match=r"^bin 62 sits at 62.0 Hz, not 31.0 Hz"):
+        wrong.bin_power(31.0)
+    with pytest.raises(ValueError, match="freqs disagree with the 2.0 s window"):
+        attribute_peaks(wrong, standard_case("a").with_overrides(duration=2.0), "quad")
+
+
 def test_attribution_skips_inactive_mirrors():
     sc = standard_case("b").with_overrides(
         vib_amplitude={"A": 0.01, "B": 0, "C": 0, "E": 0, "F": 0}
