@@ -15,9 +15,10 @@ line. In this process it then times, in 5 repeats: each check of
 1000 fields of the oracle check (``validate.oracle_fields``); the beam
 engine on 64, 1024 and 8192 samples of case a, and ``power_spectrum`` and
 ``attribute_peaks`` on the last two;
-``fock.output_state``, ``norm_series``, ``bcjlss_output_state`` and the
+``fock.output_state``, ``norm_series``, ``bcjlss_output_state``, the
 projector probabilities of all five mirrors (``mode_projection_probability_x5``,
-on a new state of the same arrays each time) at orders 4 and 12;
+on a new state of the same arrays each time) and ``compare_transcription``
+at orders 4, 12 and 40 (``norm_series`` takes three 16-power blocks there);
 ``spectra.write_artifacts`` of case a, warm and with the CSV row
 template cache cleared before each call (``write_artifacts_cold``, the
 write of a one-shot ``nestedmzi spectrum`` process); and
@@ -58,7 +59,7 @@ SEED = 1
 BEST_OF = 5
 SPECTRUM_SAMPLE_COUNTS = (1024, 8192)  # samples of case a in one second
 SAMPLE_COUNTS = (64, *SPECTRUM_SAMPLE_COUNTS)  # 64: the beam layers alone
-FOCK_ORDERS = (4, 12)
+FOCK_ORDERS = (4, 12, 40)
 EPSILON = 0.01  # kick amplitude of the timed projector readout
 CALLS = 20  # calls per timed repeat of the layers below validate
 
@@ -150,7 +151,8 @@ def sample_layer_timings(samples: int) -> dict:
 def fock_timings(order: int) -> dict:
     """Repeat times per call of the case-a output state, its norm series,
     its projector probabilities of all five mirrors (one call each, timed
-    together) and the case-a BCJLSS state. A state keeps its row
+    together), the case-a BCJLSS state and the transcription comparison at
+    case a's phi. A state keeps its row
     probabilities for the last epsilon asked, so the projectors read a new
     state of the same arrays each time, as each op of perfbench's fock
     workload does."""
@@ -169,6 +171,9 @@ def fock_timings(order: int) -> dict:
         "fock.mode_projection_probability_x5": repeat_times(projectors, CALLS),
         "fock.bcjlss_output_state": repeat_times(
             lambda: fock.bcjlss_output_state(sc.phi, sc.kappa, order), CALLS
+        ),
+        "fock.compare_transcription": repeat_times(
+            lambda: fock.compare_transcription(sc.phi, order), CALLS
         ),
     }
 

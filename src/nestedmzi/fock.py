@@ -49,6 +49,7 @@ _BIT_ROWS = np.stack((_LOW, _LOW | _BITS[:, None]))
 # the bit of a mirror off the path (output_state adds 0 there, bit for bit).
 _PATH_BITS = [sum(_BITS[_INDEX[m]] for m in path) for path in PATHS]
 _SIZES = np.where(_ROWS & ~np.array(_PATH_BITS)[:, None], -1, np.bitwise_count(_ROWS).astype(int))
+_BLOCK = 16  # powers of eps per norm_series block: its memory grows as 16 (order + 1)
 
 
 def _row(label: str) -> int:
@@ -94,13 +95,13 @@ class ModeState:
         self.coeffs, self.mask, self._probs, self._sums = coeffs, mask, None, None
         return self
 
-    def _probabilities(self, epsilon: float) -> np.ndarray:
-        """|amplitude|^2 of every row at epsilon; kept for the last epsilon."""
+    def _probabilities(self, epsilon: float) -> tuple:
+        """(zero mode, projector of each mirror) at epsilon, from one evaluation
+        of every row; kept for the last epsilon."""
         memo = self._probs
         if memo is None or memo[0] != epsilon:
             probs = np.abs(self.coeffs @ epsilon ** np.arange(self.order + 1)) ** 2
-            probs.setflags(write=False)
-            memo = self._probs = (epsilon, probs)
+            memo = self._probs = (epsilon, (float(probs[0]), *probs[_BIT_ROWS[1]].sum(1).tolist()))
         return memo[1]
 
     def _bit_sums(self) -> np.ndarray:
@@ -192,53 +193,52 @@ def _gathers(order: int) -> np.ndarray:
     return table
 
 
+# The transcription term by term: (row, power of eps, 3 x amplitude), e = exp(i phi).
+_TRANSCRIPTION = tuple((_row(label), power, value) for label, power, value in (
+    ("00000", 0, "e"), ("00100", 1, "1"), ("00010", 1, "e - 1"), ("00001", 1, "e - 1"),
+    ("10000", 1, "e"), ("01000", 1, "-1"), ("10010", 2, "e"), ("10001", 2, "e"),
+    ("01010", 2, "-1"), ("01001", 2, "-1"), ("10011", 3, "e"), ("01011", 3, "-1"),
+))
+_TRANSCRIBED = np.isin(_ROWS, [row for row, _, _ in _TRANSCRIPTION])
+
+
 def reference_output_state(phi: float, order: int = 4) -> ModeState:
     """Literal transcription of the corrected output state (arm C open).
 
     No normalization corrections are applied: this is the hand-written
     expression kept verbatim for comparison against the path enumeration.
+    Terms above the order are dropped; their labels stay populated.
     """
-    n = 1.0 / 3.0
-    e = cmath.exp(1j * phi)
-
-    def mono(value, power):
-        return EpsSeries.monomial(n * value, power, order)
-
-    return ModeState(
-        {
-            "00000": mono(e, 0),
-            "00100": mono(1.0, 1),
-            "00010": mono(e - 1.0, 1),
-            "00001": mono(e - 1.0, 1),
-            "10000": mono(e, 1),
-            "01000": mono(-1.0, 1),
-            "10010": mono(e, 2),
-            "10001": mono(e, 2),
-            "01010": mono(-1.0, 2),
-            "01001": mono(-1.0, 2),
-            "10011": mono(e, 3),
-            "01011": mono(-1.0, 3),
-        }
-    )
+    n, e = 1.0 / 3.0, cmath.exp(1j * phi)
+    values = {"e": e, "1": 1.0, "e - 1": e - 1.0, "-1": -1.0}
+    coeffs = np.zeros((len(_ROWS), order + 1), complex)
+    for row, power, value in _TRANSCRIPTION:
+        if power <= order:
+            coeffs[row, power] = n * values[value]
+    return ModeState._of(coeffs, _TRANSCRIBED)
 
 
 def norm_series(state: ModeState) -> EpsSeries:
     """Sum of |amplitude|^2 as a series (real coefficients up to rounding)."""
     c, n = state.coeffs[state.mask], state.order + 1
     conj, norm = c.conj(), np.zeros(n, complex)
-    for k in range(n):
-        norm[k:] += c[:, k] @ conj[:, : n - k]
+    for j in range(0, n, _BLOCK):
+        # gram[i, k] lands on eps^(j + i + k): read one column short, padded row i moves i right
+        gram = c[:, j : j + _BLOCK].T @ conj
+        rows = len(gram)
+        skew = np.concatenate((gram, np.zeros((rows, rows))), axis=1)
+        norm[j:] += skew.ravel()[:-rows].reshape(rows, -1).sum(axis=0)[: n - j]
     return EpsSeries(norm)
 
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
     """Incoherent projector probability onto all labels with the mirror's bit."""
-    return float(state._probabilities(epsilon)[_BIT_ROWS[1, _INDEX[mirror]]].sum())
+    return state._probabilities(epsilon)[1 + _INDEX[mirror]]
 
 
 def zero_mode_probability(state: ModeState, epsilon: float) -> float:
-    """|amplitude|^2 of the zero mode "00000": row 0 of the projectors' evaluation."""
-    return float(state._probabilities(epsilon)[0])
+    """|amplitude|^2 of the zero mode "00000", from the projectors' evaluation."""
+    return state._probabilities(epsilon)[0]
 
 
 def projection_leading_coeff(state: ModeState, mirror: str) -> float:

@@ -92,11 +92,12 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         assert set(layers["samples_per_call_s"][n]) == engine | {
             "spectra.power_spectrum", "spectra.attribute_peaks",
         }
-    assert set(layers["fock_per_call_s"]) == {"4", "12"}
+    assert set(layers["fock_per_call_s"]) == {"4", "12", "40"}
     for per_call in layers["fock_per_call_s"].values():
         assert set(per_call) == {
             "fock.output_state", "fock.norm_series",
             "fock.mode_projection_probability_x5", "fock.bcjlss_output_state",
+            "fock.compare_transcription",
         }
     times = [
         layers["write_artifacts_s"],

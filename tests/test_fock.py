@@ -126,6 +126,35 @@ def test_norm_series_is_the_norm_of_the_evaluated_state():
         assert abs(norm_series(state).eval(eps) - want) <= 1e-12
 
 
+def norm_by_powers(state):
+    """The norm series one power of eps at a time: one matvec per power."""
+    c, n = state.coeffs[state.mask], state.order + 1
+    conj, norm = c.conj(), np.zeros(n, complex)
+    for k in range(n):
+        norm[k:] += c[:, k] @ conj[:, : n - k]
+    return norm
+
+
+@pytest.mark.parametrize("order", [0, 1, 15, 16, 17, 31, 32, 33, 64])
+def test_norm_series_blocks_match_the_per_power_sum(order):
+    # norm_series takes 16 powers per block, so orders 15-17 and 31-33 sit on
+    # the block edges. Sums run in another order, so the bound is relative
+    # to sum |c|^2 over the populated rows; the unpopulated rows carry junk
+    # that must not count.
+    rng = np.random.default_rng(order)
+    shape = (32, order + 1)
+    one_row = np.zeros(32, bool)
+    one_row[rng.integers(32)] = True
+    masks = [np.zeros(32, bool), one_row, np.ones(32, bool), *(rng.random((5, 32)) < 0.5)]
+    for mask in masks:
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state = ModeState._of(coeffs, mask)
+        got = np.array(norm_series(state).coeffs)
+        assert got.shape == (order + 1,)
+        scale = (np.abs(coeffs[mask]) ** 2).sum()
+        assert np.abs(got - norm_by_powers(state)).max() <= 2e-15 * scale, mask.sum()
+
+
 # -- output state --------------------------------------------------------
 
 
@@ -179,6 +208,30 @@ def test_reference_fixed_coefficients():
         assert ref.amplitude("01000").coeffs[1] == pytest.approx(-1 / 3, abs=1e-15)
         assert ref.amplitude("01011").coeffs[3] == pytest.approx(-1 / 3, abs=1e-15)
         assert ref.amplitude("00011").is_zero()
+
+
+def monomial_reference(phi, order):
+    """The transcription built term by term from EpsSeries.monomial."""
+    n, e = 1.0 / 3.0, cmath.exp(1j * phi)
+    terms = {
+        "00000": (e, 0), "00100": (1.0, 1), "00010": (e - 1.0, 1), "00001": (e - 1.0, 1),
+        "10000": (e, 1), "01000": (-1.0, 1), "10010": (e, 2), "10001": (e, 2),
+        "01010": (-1.0, 2), "01001": (-1.0, 2), "10011": (e, 3), "01011": (-1.0, 3),
+    }
+    return ModeState({lab: EpsSeries.monomial(n * v, k, order) for lab, (v, k) in terms.items()})
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_reference_state_is_the_monomial_form_at_every_order(order):
+    # Below order 3 the terms above the order are dropped and their labels
+    # stay populated.
+    for phi in (0.0, 0.7, math.pi / 2, math.pi, 4.4, -1e-300):
+        got, want = reference_output_state(phi, order), monomial_reference(phi, order)
+        assert got.coeffs.shape == want.coeffs.shape == (32, order + 1)
+        assert (got.coeffs.view(np.uint64) == want.coeffs.view(np.uint64)).all()
+        assert got.support() == want.support() and len(got.support()) == 12
+        if order <= 3:
+            assert compare_transcription(phi, order).ok, (phi, order)
 
 
 def test_transcription_agreement_and_extra_term():
@@ -265,6 +318,22 @@ def test_projection_matches_matrix_oracle():
         assert mode_projection_probability(st, mirror, eps) == pytest.approx(
             oracle, rel=1e-12
         )
+
+
+def test_projectors_equal_each_mirrors_own_sum_bit_for_bit():
+    # One reduction sums the five mirrors' rows; each value is the sum of that
+    # mirror's 16 rows alone, compared with ==.
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        order, eps = int(rng.integers(0, 41)), float(rng.uniform(-0.1, 0.1))
+        state = output_state(float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(0, 1)), order)
+        probs = np.abs(state.coeffs @ eps ** np.arange(order + 1)) ** 2
+        for m in MIRRORS:
+            rows = [i for i, lab in enumerate(ALL_LABELS) if lab[MIRRORS.index(m)] == "1"]
+            got = mode_projection_probability(state, m, eps)
+            assert type(got) is float and got == float(probs[rows].sum()), (order, eps, m)
+        got = zero_mode_probability(state, eps)
+        assert type(got) is float and got == float(probs[0])
 
 
 def test_reference_phi0_e_projection():
@@ -577,6 +646,24 @@ def test_output_state_memory_grows_with_order_not_its_square():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def norm_series_peak(order):
+    """tracemalloc peak of norm_series(output_state(...)), with _gathers' table cached."""
+    output_state(1.0, 1.0, order)
+    tracemalloc.start()
+    try:
+        norm_series(output_state(1.0, 1.0, order))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_series_memory_doubles_with_the_order():
+    # The peak is linear in the order: 2.0x from order 500 to 1000, one power
+    # or 16 powers per block. A quadratic form fails this even while it stays
+    # under the 2 MB bound above.
+    assert norm_series_peak(1000) < 2.2 * norm_series_peak(500)
 
 
 # -- closed forms from the path table ------------------------------------
