@@ -152,7 +152,7 @@ def fock_timings(order: int) -> dict:
     """Repeat times per call of the case-a output state, its norm series,
     its projector probabilities of all five mirrors (one call each, timed
     together), the case-a BCJLSS state and the transcription comparison at
-    case a's phi. A state keeps its row
+    case a's phi. A state keeps its projector
     probabilities for the last epsilon asked, so the projectors read a new
     state of the same arrays each time, as each op of perfbench's fock
     workload does."""
