@@ -17,8 +17,10 @@ engine on 64, 1024 and 8192 samples of case a, and ``power_spectrum`` and
 ``attribute_peaks`` on the last two;
 ``fock.output_state``, ``norm_series``, ``bcjlss_output_state``, the
 projector probabilities of all five mirrors (``mode_projection_probability_x5``,
-on a new state of the same arrays each time) and ``compare_transcription``
-at orders 4, 12 and 40 (``norm_series`` takes three 16-power blocks there);
+on a new state of the same arrays each time), ``compare_transcription``,
+``series.inv_sqrt_one_plus_sq``, ``EpsSeries.__mul__`` (its square) and
+``fock.apply_mirror_kick`` (mirror E on the zero mode) at orders 4, 12 and
+40 (``norm_series`` takes three 16-power blocks there);
 ``spectra.write_artifacts`` of case a, warm and with the CSV row
 template cache cleared before each call (``write_artifacts_cold``, the
 write of a one-shot ``nestedmzi spectrum`` process); and
@@ -51,7 +53,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from nestedmzi import beam, cli, fock, spectra, validate  # noqa: E402
+from nestedmzi import beam, cli, fock, series, spectra, validate  # noqa: E402
 from nestedmzi.scenario import MIRRORS, standard_case  # noqa: E402
 from run import THREAD_ENV, cpu_model, git_commit  # noqa: E402  (perfbench/run.py)
 
@@ -152,12 +154,16 @@ def fock_timings(order: int) -> dict:
     """Repeat times per call of the case-a output state, its norm series,
     its projector probabilities of all five mirrors (one call each, timed
     together), the case-a BCJLSS state and the transcription comparison at
-    case a's phi. A state keeps its projector
-    probabilities for the last epsilon asked, so the projectors read a new
-    state of the same arrays each time, as each op of perfbench's fock
-    workload does."""
+    case a's phi; and of the layers below the output state: the series of
+    1/sqrt(1 + eps^2), its square (``EpsSeries.__mul__``) and one kick, the
+    first bounce of a path (mirror E on the zero mode). A state keeps its
+    projector probabilities for the last epsilon asked, so the projectors
+    read a new state of the same arrays each time, as each op of
+    perfbench's fock workload does."""
     sc = standard_case("a")
     state = fock.output_state(sc.phi, sc.kappa, order)
+    stay = series.inv_sqrt_one_plus_sq(order)
+    zero = fock.ModeState({"00000": series.EpsSeries.const(1.0, order)})
 
     def projectors():
         fresh = fock.ModeState._of(state.coeffs, state.mask)
@@ -175,6 +181,11 @@ def fock_timings(order: int) -> dict:
         "fock.compare_transcription": repeat_times(
             lambda: fock.compare_transcription(sc.phi, order), CALLS
         ),
+        "series.EpsSeries.__mul__": repeat_times(lambda: stay * stay, CALLS),
+        "series.inv_sqrt_one_plus_sq": repeat_times(
+            lambda: series.inv_sqrt_one_plus_sq(order), CALLS
+        ),
+        "fock.apply_mirror_kick": repeat_times(lambda: fock.apply_mirror_kick(zero, "E"), CALLS),
     }
 
 

@@ -49,6 +49,8 @@ _BIT_ROWS = np.stack((_LOW, _LOW | _BITS[:, None]))
 # the bit of a mirror off the path (output_state adds 0 there, bit for bit).
 _PATH_BITS = [sum(_BITS[_INDEX[m]] for m in path) for path in PATHS]
 _SIZES = np.where(_ROWS & ~np.array(_PATH_BITS)[:, None], -1, np.bitwise_count(_ROWS).astype(int))
+_ON_PATH = _SIZES >= 0
+_LONGEST = max(map(len, PATHS))
 _BLOCK = 16  # powers of eps per norm_series block: its memory grows as 16 (order + 1)
 
 
@@ -169,18 +171,19 @@ def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
     """
     stay = inv_sqrt_one_plus_sq(order)
     powers = [stay]  # powers[k] = stay ** (k + 1)
-    while len(powers) < max(map(len, PATHS)):
+    while len(powers) < _LONGEST:
         powers.append(powers[-1] * stay)
+    # row k: the coefficients of powers[k], then the 0 that a gather reads past the order
+    padded = np.zeros((_LONGEST, order + 2), complex)
+    padded[:, :-1] = [p.coeffs for p in powers]
     coeffs = np.zeros((len(_ROWS), order + 1), complex)
     mask = np.zeros(len(_ROWS), bool)
-    paths = zip(path_weights(phi, kappa), PATHS, _SIZES, _gathers(order))
-    for weight, mirrors, sizes, gather in paths:
+    paths = zip(path_weights(phi, kappa), PATHS, _ON_PATH, _gathers(order))
+    for weight, mirrors, on_path, gather in paths:
         if weight == 0:
             continue
-        padded = np.zeros(order + 2, complex)
-        np.multiply(powers[len(mirrors) - 1].coeffs, weight / 3.0, out=padded[:-1])
-        coeffs += padded[gather]
-        mask |= sizes >= 0
+        coeffs += (padded[len(mirrors) - 1] * (weight / 3.0))[gather]
+        mask |= on_path
     return ModeState._of(coeffs, mask)
 
 
@@ -224,11 +227,12 @@ def norm_series(state: ModeState) -> EpsSeries:
     conj, norm = c.conj(), np.zeros(n, complex)
     for j in range(0, n, _BLOCK):
         # gram[i, k] lands on eps^(j + i + k): read one column short, padded row i moves i right
-        gram = c[:, j : j + _BLOCK].T @ conj
-        rows = len(gram)
-        skew = np.concatenate((gram, np.zeros((rows, rows))), axis=1)
+        block = c[:, j : j + _BLOCK].T
+        rows = len(block)
+        skew = np.zeros((rows, n + rows), complex)
+        np.matmul(block, conj, out=skew[:, :n])
         norm[j:] += skew.ravel()[:-rows].reshape(rows, -1).sum(axis=0)[: n - j]
-    return EpsSeries(norm)
+    return EpsSeries._of(norm.tolist())
 
 
 def mode_projection_probability(state: ModeState, mirror: str, epsilon: float) -> float:
@@ -335,9 +339,9 @@ def compare_transcription(phi: float, order: int = 4) -> TranscriptionReport:
     nonzero = b != 0
     # power of each row's first transcribed term, -1 for rows not transcribed
     leading = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), -1)[:, None]
-    conditions = [np.abs(a - b) <= 1e-12, leading < 0, np.arange(order + 1) > leading]
     # 0 agreed, 1 extra term, 2 normalization drift, 3 unexpected
-    kind = np.select(conditions, [0, 1, 2], 3)
+    kind = np.where(np.abs(a - b) <= 1e-12, 0,
+                    np.where(leading < 0, 1, np.where(np.arange(order + 1) > leading, 2, 3)))
     at = np.nonzero(kind)
     labels = [_label(row) for row in rows.tolist()]
     found = ([], [], [])

@@ -6,7 +6,9 @@ compared exactly and tolerances stated per power of eps.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,14 @@ class EpsSeries:
             raise ValueError("series needs a flat sequence of at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
 
+    @classmethod
+    def _of(cls, coeffs) -> "EpsSeries":
+        """A series of a non-empty sequence of Python complex, stored as given,
+        without the constructor's conversion: for the package's own results."""
+        series = cls.__new__(cls)
+        object.__setattr__(series, "coeffs", tuple(coeffs))
+        return series
+
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -45,15 +55,20 @@ class EpsSeries:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
 
     def __add__(self, other: "EpsSeries") -> "EpsSeries":
+        if not isinstance(other, EpsSeries):
+            return NotImplemented
         self._check_order(other)
-        return EpsSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return EpsSeries._of([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
         if isinstance(other, EpsSeries):
             self._check_order(other)
             product = np.convolve(self.coeffs, other.coeffs)
-            return EpsSeries(product[: self.order + 1])
-        return EpsSeries(tuple(complex(other) * c for c in self.coeffs))
+            return EpsSeries._of(product[: self.order + 1].tolist())
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
+        factor = complex(other)
+        return EpsSeries._of([factor * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -73,7 +88,15 @@ def inv_sqrt_one_plus_sq(order: int) -> EpsSeries:
     Only even powers appear; coefficient of eps^(2k) is
     (-1)^k * C(2k, k) / 4^k.
     """
+    return EpsSeries._of(_inv_sqrt_row(order))
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _inv_sqrt_row(order: int) -> tuple:
+    """The coefficients of inv_sqrt_one_plus_sq(order), computed once per order."""
+    if order < 0:
+        raise ValueError(f"a series needs order >= 0, got {order}")
     c = [0j] * (order + 1)
     for k in range(order // 2 + 1):
         c[2 * k] = complex((-1) ** k * math.comb(2 * k, k) / 4**k)
-    return EpsSeries(tuple(c))
+    return tuple(c)

@@ -1,8 +1,12 @@
 """Schema of the BENCH_N.json record that scripts/bench.py writes."""
 import importlib.util
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
@@ -97,7 +101,8 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         assert set(per_call) == {
             "fock.output_state", "fock.norm_series",
             "fock.mode_projection_probability_x5", "fock.bcjlss_output_state",
-            "fock.compare_transcription",
+            "fock.compare_transcription", "series.EpsSeries.__mul__",
+            "series.inv_sqrt_one_plus_sq", "fock.apply_mirror_kick",
         }
     times = [
         layers["write_artifacts_s"],
@@ -119,3 +124,85 @@ def test_best_and_median_keeps_the_shape_of_nested_times():
         "layer_median_s": {"x": 2.0, "y": {"z": 5.0}},
     }
     assert bench.best_and_median("w", [0.5, 0.25]) == {"w_s": 0.25, "w_median_s": 0.375}
+
+
+def load_abtest():
+    spec = importlib.util.spec_from_file_location("abtest", REPO / "scripts" / "abtest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_abtest(*args):
+    """Exit code and last-line JSON of scripts/abtest.py run with args."""
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "abtest.py"), *map(str, args)],
+        capture_output=True, text=True,
+    )
+    return proc.returncode, json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
+def test_abtest_loads_each_tree_on_its_own_modules_and_restores_the_callers():
+    abtest = load_abtest()
+    before = {name: module for name, module in sys.modules.items() if name.startswith("nestedmzi")}
+    a, b = abtest.load(REPO), abtest.load(REPO)
+    assert a is not b and a.fock is not b.fock and a.fock.EpsSeries is not b.fock.EpsSeries
+    assert a.fock.norm_series.__globals__["EpsSeries"] is a.fock.EpsSeries
+    assert {name: module for name, module in sys.modules.items() if name.startswith("nestedmzi")} == before
+    with pytest.raises(abtest.TreeError):
+        abtest.load(REPO / "tests")
+
+
+def test_abtest_cancels_the_speed_up_of_the_second_op_of_a_pair():
+    # 3% faster in second place, whichever tree runs there: the ratio is 1
+    abtest = load_abtest()
+    rng = np.random.default_rng(0)
+    base = rng.lognormal(-9.0, 0.3, 400)
+    a_first = np.arange(400) % 2 == 0
+    a = base * np.where(a_first, 1.0, 0.97)
+    b = base * np.where(a_first, 0.97, 1.0)
+    result = abtest.bootstrap(a, b, a_first, seed=0)
+    assert result["median_ratio"] == pytest.approx(1.0, abs=1e-12)
+    lo, hi = result["median_ratio_ci"]
+    assert lo <= 1.0 <= hi and hi - lo < 1e-9
+    lo, hi = result["mean_ratio_ci"]
+    assert lo <= result["mean_ratio"] <= hi
+
+
+def test_abtest_a_against_a_gives_an_interval_containing_one():
+    # A 95% interval misses by design in 1 run of 20, and two loads of one
+    # tree can differ by about 1% in where their arrays land; so up to
+    # four runs.
+    intervals = []
+    for seed in range(4):
+        code, result, stderr = run_abtest(REPO, REPO, "--workload", "fock", "--ops", 200, "--seed", seed)
+        assert code == 0, stderr
+        assert result["a"]["failed"] == result["b"]["failed"] == 0
+        lo, hi = result["median_ratio_ci"]
+        intervals.append((lo, hi))
+        if lo <= 1.0 <= hi:
+            return
+    pytest.fail(f"A/A intervals {intervals} all miss 1")
+
+
+def test_abtest_detects_a_sleep_in_output_state_and_a_wrong_output(tmp_path):
+    slow, wrong = tmp_path / "slow", tmp_path / "wrong"
+    for tree in (slow, wrong):
+        for part in ("src", "perfbench"):
+            shutil.copytree(REPO / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    fock = (slow / "src" / "nestedmzi" / "fock.py")
+    text = fock.read_text()
+    head = "def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:\n"
+    assert text.count(head) == 1
+    fock.write_text(text.replace(head, head + "    __import__('time').sleep(0.0005)\n"))
+    code, result, stderr = run_abtest(REPO, slow, "--workload", "fock", "--ops", 40)
+    assert code == 0, stderr
+    assert result["median_ratio_ci"][0] > 2.0 and result["mean_ratio_ci"][0] > 2.0
+
+    fock = (wrong / "src" / "nestedmzi" / "fock.py")
+    text = fock.read_text()
+    assert text.count("weight / 3.0") == 2
+    fock.write_text(text.replace("weight / 3.0", "weight / 3.1"))
+    code, result, stderr = run_abtest(REPO, wrong, "--workload", "fock", "--ops", 40, "--seed", 0)
+    assert code == 1 and result["a"]["failed"] == 0 and result["b"]["failed"] > 0
+    assert "reference" in stderr

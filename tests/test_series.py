@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -78,3 +79,56 @@ def test_product_eval_consistent(ca, cb, eps):
 def test_addition_eval_exact(ca, cb, eps):
     a, b = EpsSeries(tuple(ca)), EpsSeries(tuple(cb))
     assert abs((a + b).eval(eps) - (a.eval(eps) + b.eval(eps))) < 1e-9
+
+
+@pytest.mark.parametrize("product", [
+    lambda s: s * "2",
+    lambda s: "2" * s,
+    lambda s: s + 1,
+], ids=["series-times-str", "str-times-series", "series-plus-int"])
+def test_non_number_operands_raise_type_error(product):
+    with pytest.raises(TypeError):
+        product(EpsSeries.const(1.0, 3))
+
+
+def _bits(s):
+    return np.array(s.coeffs, complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("order", range(65))
+def test_trusted_results_equal_the_validating_constructor_bit_for_bit(order):
+    """Products, sums, scalar products and the 1/sqrt(1 + eps^2) row skip
+    revalidation; they still hold exactly what the constructor would."""
+    n = order + 1
+    stay = inv_sqrt_one_plus_sq(order)
+    rows = [0j] * n
+    for k in range(0, n, 2):
+        rows[k] = (-1) ** (k // 2) * math.comb(k, k // 2) / 4 ** (k // 2)
+    rng = np.random.default_rng(order)
+    a, b = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    x, y = EpsSeries(a), EpsSeries(b)
+    pairs = [
+        (stay, EpsSeries(rows)),
+        (stay * stay, EpsSeries(np.convolve(rows, rows)[:n])),
+        (x * y, EpsSeries(np.convolve(a, b)[:n])),
+        (x + y, EpsSeries(a + b)),
+        (x * 0.5j, EpsSeries(a * 0.5j)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
+        assert type(got.coeffs) is tuple
+        assert all(type(c) is complex for c in got.coeffs)
+
+
+def test_inv_sqrt_refuses_a_negative_order_every_time():
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError):
+            inv_sqrt_one_plus_sq(-1)
+    assert inv_sqrt_one_plus_sq(0).coeffs == (1,)
+
+
+@pytest.mark.parametrize("combine", [EpsSeries.__add__, EpsSeries.__mul__], ids=["add", "mul"])
+def test_mismatched_orders_raise_value_error(combine):
+    for a, b in (((1, 2), (1, 2, 3)), ((1, 2, 3), (1,))):
+        with pytest.raises(ValueError, match="order mismatch"):
+            combine(EpsSeries(a), EpsSeries(b))
