@@ -1,4 +1,5 @@
-"""Schema of the BENCH_N.json record that scripts/bench.py writes."""
+"""Schema of the BENCH_N.json record that scripts/bench.py writes, and the
+two-tree comparison of scripts/abtest.py."""
 import importlib.util
 import json
 import shutil
@@ -14,11 +15,15 @@ BENCHMARK = json.loads((REPO / "BENCHMARK.json").read_text())
 METRICS = [m["name"] for m in BENCHMARK["end_to_end"]]
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", REPO / "scripts" / "bench.py")
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_bench():
+    return load_script("bench")
 
 
 def run_line(metrics=METRICS, attempted=41, failed=0):
@@ -126,13 +131,6 @@ def test_best_and_median_keeps_the_shape_of_nested_times():
     assert bench.best_and_median("w", [0.5, 0.25]) == {"w_s": 0.25, "w_median_s": 0.375}
 
 
-def load_abtest():
-    spec = importlib.util.spec_from_file_location("abtest", REPO / "scripts" / "abtest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def run_abtest(*args):
     """Exit code and last-line JSON of scripts/abtest.py run with args."""
     proc = subprocess.run(
@@ -143,7 +141,7 @@ def run_abtest(*args):
 
 
 def test_abtest_loads_each_tree_on_its_own_modules_and_restores_the_callers():
-    abtest = load_abtest()
+    abtest = load_script("abtest")
     before = {name: module for name, module in sys.modules.items() if name.startswith("nestedmzi")}
     a, b = abtest.load(REPO), abtest.load(REPO)
     assert a is not b and a.fock is not b.fock and a.fock.EpsSeries is not b.fock.EpsSeries
@@ -155,7 +153,7 @@ def test_abtest_loads_each_tree_on_its_own_modules_and_restores_the_callers():
 
 def test_abtest_cancels_the_speed_up_of_the_second_op_of_a_pair():
     # 3% faster in second place, whichever tree runs there: the ratio is 1
-    abtest = load_abtest()
+    abtest = load_script("abtest")
     rng = np.random.default_rng(0)
     base = rng.lognormal(-9.0, 0.3, 400)
     a_first = np.arange(400) % 2 == 0
@@ -190,7 +188,7 @@ def test_abtest_detects_a_sleep_in_output_state_and_a_wrong_output(tmp_path):
     for tree in (slow, wrong):
         for part in ("src", "perfbench"):
             shutil.copytree(REPO / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
-    fock = (slow / "src" / "nestedmzi" / "fock.py")
+    fock = slow / "src" / "nestedmzi" / "fock.py"
     text = fock.read_text()
     head = "def output_state(phi: float, kappa: float, order: int = 4) -> ModeState:\n"
     assert text.count(head) == 1
@@ -199,7 +197,7 @@ def test_abtest_detects_a_sleep_in_output_state_and_a_wrong_output(tmp_path):
     assert code == 0, stderr
     assert result["median_ratio_ci"][0] > 2.0 and result["mean_ratio_ci"][0] > 2.0
 
-    fock = (wrong / "src" / "nestedmzi" / "fock.py")
+    fock = wrong / "src" / "nestedmzi" / "fock.py"
     text = fock.read_text()
     assert text.count("weight / 3.0") == 2
     fock.write_text(text.replace("weight / 3.0", "weight / 3.1"))
