@@ -11,7 +11,8 @@ tree's ``src/nestedmzi``, and the modules of one load are taken out of
 ``sys.modules`` before the next, so each tree runs its own code: every import
 inside the package is relative. Both trees run op 0 untimed, then op i of
 both back to back for i = 1..N, each tree first in half of the ops, in a
-random order drawn from the seed. Only a workload's ``run`` is timed; each
+random order drawn from the seed. Each op goes through ``run_op`` of this
+checkout's ``perfbench/run.py``: only a workload's ``run`` is timed, and each
 tree's own ``check`` gates its op after it. The output gives each tree's
 mean and median op time, the median per-op ratio B/A and the ratio of the
 mean op times B/A, each with a bootstrap 95% interval, then one JSON line. The exit code is 1 when any op
@@ -37,12 +38,13 @@ import json  # noqa: E402
 import subprocess  # noqa: E402
 import tarfile  # noqa: E402
 import tempfile  # noqa: E402
-import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("figure", "scan", "fock", "validate")
+sys.path.insert(0, str(ROOT / "perfbench"))
+from run import WORKLOADS, run_op  # noqa: E402  (perfbench/run.py: the harness's own runner)
+
 LOADED = ("nestedmzi", "workloads")  # top-level modules each tree imports afresh
 RESAMPLES = 2000
 RESAMPLED_VALUES = 2**20  # op indices drawn per bootstrap chunk, to bound its memory
@@ -89,22 +91,6 @@ def load(tree: Path):
     if (tree / "src").resolve() not in Path(package.__file__).resolve().parents:
         raise TreeError(f"{tree}: imported nestedmzi from {package.__file__}")
     return workloads
-
-
-def run_op(w, i: int, reference: dict):
-    """Seconds of op i's run, and a failure message or None; the gate is untimed."""
-    op = w.inputs(i)
-    start = time.perf_counter()
-    try:
-        out = w.run(op)
-    except Exception as exc:  # an op that raises is a failed op
-        return time.perf_counter() - start, f"op {i}: {type(exc).__name__}: {exc}"
-    seconds = time.perf_counter() - start
-    try:
-        w.check(i, op, out, reference)
-    except Exception as exc:  # a gate miss or a crash in the gate
-        return seconds, f"op {i}: {type(exc).__name__}: {exc}"
-    return seconds, None
 
 
 def interleave(sides, ops: int, seed: int):

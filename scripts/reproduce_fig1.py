@@ -12,17 +12,12 @@ import sys
 from pathlib import Path
 
 from nestedmzi import spectra
-from nestedmzi.cli import guard_stdout
+from nestedmzi.cli import _run_and_write, guard_stdout
 from nestedmzi.scenario import standard_case
 
 
 def run_case(case, detector, model, outdir):
-    ts, spec, report = spectra.run(standard_case(case), detector, model)
-    try:
-        spectra.write_artifacts(outdir, ts, spec, report)
-    except OSError as exc:
-        print(f"error: cannot write --out {outdir}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2)
+    report = _run_and_write(standard_case(case), detector, model, outdir)
 
     print(f"case ({case})  detector={detector}  model={model}")
     for m, value in report.normalized_bars().items():

@@ -108,6 +108,16 @@ def cmd_fock(args) -> int:
     return 0
 
 
+def _run_and_write(sc: Scenario, detector: str, model: str, outdir: Path):
+    """spectra.run's report, its artifacts written to outdir (exit 2 if they cannot be)."""
+    ts, spec, report = spectra.run(sc, detector, model)
+    try:
+        spectra.write_artifacts(outdir, ts, spec, report)
+    except OSError as exc:
+        _usage_error(f"cannot write --out {outdir}: {exc.strerror or exc}")
+    return report
+
+
 def cmd_spectrum(args) -> int:
     sc = build_scenario(args)
     outdir = Path(args.out)
@@ -116,11 +126,7 @@ def cmd_spectrum(args) -> int:
         if existing:
             raise ValueError(f"refusing to overwrite {existing}; pass --force to allow")
 
-    ts, spec, report = spectra.run(sc, args.detector, args.model)
-    try:
-        spectra.write_artifacts(outdir, ts, spec, report)
-    except OSError as exc:
-        _usage_error(f"cannot write --out {outdir}: {exc.strerror or exc}")
+    report = _run_and_write(sc, args.detector, args.model, outdir)
 
     source = f"scenario file {args.scenario_file}" if args.scenario_file else f"case {args.case}"
     print(f"{source}, detector {args.detector}, model {args.model}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenario import MIRRORS, PATHS, path_weights, standard_case
-from .series import EpsSeries, inv_sqrt_one_plus_sq
+from .series import EpsSeries, _order, inv_sqrt_one_plus_sq
 
 # Row i is the mode whose label, read as a binary number, is i: the first
 # mirror is the highest bit, and row order is sorted-label order.
@@ -212,6 +212,7 @@ def reference_output_state(phi: float, order: int = 4) -> ModeState:
     expression kept verbatim for comparison against the path enumeration.
     Terms above the order are dropped; their labels stay populated.
     """
+    order = _order("order", order)
     n, e = 1.0 / 3.0, cmath.exp(1j * phi)
     values = {"e": e, "1": 1.0, "e - 1": e - 1.0, "-1": -1.0}
     coeffs = np.zeros((len(_ROWS), order + 1), complex)
@@ -271,6 +272,7 @@ def case_probability_table(case_id: str, epsilon: float) -> dict:
 def bcjlss_output_state(phi: float, kappa: float, order: int = 4) -> ModeState:
     """BCJLSS's eps-independent state: a path of weight w (scenario.path_weights)
     puts w/3 at eps^0 on the mode of all its mirrors, none if w = 0 (as output_state)."""
+    order = _order("order", order)
     coeffs, mask = np.zeros((len(_ROWS), order + 1), complex), np.zeros(len(_ROWS), bool)
     for weight, row in zip(path_weights(phi, kappa), _PATH_BITS):
         if weight != 0:

@@ -18,6 +18,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .series import _order
+
 MIRRORS = ("A", "B", "C", "E", "F")
 
 # The mirrors of each path from the source to the detector port, in the
@@ -122,9 +124,7 @@ class Scenario:
         # before the per-mirror maps, which __post_init__ and with_overrides fill from epsilon
         if not (0.0 < self.epsilon < 0.1):
             raise ValueError(f"epsilon must lie in (0, 0.1), got {self.epsilon}")
-        if not isinstance(self.series_order, numbers.Integral):
-            raise ValueError(f"series_order must be an int, got {self.series_order!r}")
-        object.__setattr__(self, "series_order", int(self.series_order))
+        object.__setattr__(self, "series_order", _order("series_order", self.series_order))
         for name in _PER_MIRROR:
             values = getattr(self, name)
             if not isinstance(values, Mapping) or set(values) != set(MIRRORS):

@@ -14,6 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _order(name: str, value) -> int:
+    """value as an int >= 0 (an order, or a power of eps), or a ValueError naming
+    the field. A bool is not one; an int, the usual value, skips numbers.Integral."""
+    if type(value) is not int and not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class EpsSeries:
     """Coefficients c[k] of eps**k, truncated at a fixed maximum order.
@@ -44,10 +54,11 @@ class EpsSeries:
 
     @classmethod
     def const(cls, value, order: int) -> "EpsSeries":
-        return cls((complex(value),) + (0j,) * order)
+        return cls.monomial(value, 0, order)
 
     @classmethod
     def monomial(cls, value, power: int, order: int) -> "EpsSeries":
+        power, order = _order("power", power), _order("order", order)
         return cls(tuple(complex(value) if k == power else 0j for k in range(order + 1)))
 
     def _check_order(self, other: "EpsSeries") -> None:
@@ -91,11 +102,10 @@ def inv_sqrt_one_plus_sq(order: int) -> EpsSeries:
     return EpsSeries._of(_inv_sqrt_row(order))
 
 
-@functools.lru_cache(maxsize=16, typed=True)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: a refused True never gets order 1's row
 def _inv_sqrt_row(order: int) -> tuple:
     """The coefficients of inv_sqrt_one_plus_sq(order), computed once per order."""
-    if order < 0:
-        raise ValueError(f"a series needs order >= 0, got {order}")
+    order = _order("order", order)
     c = [0j] * (order + 1)
     for k in range(order // 2 + 1):
         c[2 * k] = complex((-1) ** k * math.comb(2 * k, k) / 4**k)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -771,3 +772,46 @@ def test_norm_series_is_the_binomial_expansion_of_the_closed_form():
             for k, c in enumerate(coeffs):
                 want = sum(re * float(binomial(e, k // 2)) for re, _, e in pairs) if k % 2 == 0 else 0
                 assert abs(c - want) <= 5e-15 * (k + 1) * total, (order, k, phi, kappa)
+
+
+# Not an order: negative, a bool, a float, a string, None.
+BAD_ORDERS = [-1, -3, True, 2.5, "4", None]
+FOCK_BUILDERS = {
+    "output_state": lambda n: output_state(0.7, 1.0, n),
+    "bcjlss_output_state": lambda n: bcjlss_output_state(0.7, 1.0, n),
+    "reference_output_state": lambda n: reference_output_state(0.7, n),
+    "compare_transcription": lambda n: compare_transcription(0.7, n),
+    "probability_table": lambda n: fock.probability_table(0.7, 1.0, 0.01, n),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ORDERS, ids=repr)
+@pytest.mark.parametrize("builder", FOCK_BUILDERS)
+def test_every_fock_builder_refuses_a_bad_order_every_time(builder, bad):
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match=f"^order must be an integer >= 0, got {re.escape(repr(bad))}$"):
+            FOCK_BUILDERS[builder](bad)
+
+
+def _bits_of(result):
+    """A state's coefficient bits and mask, a table's value bits, or a report's repr."""
+    if isinstance(result, ModeState):
+        return result.coeffs.view(np.uint64).tolist(), result.mask.tolist()
+    if isinstance(result, dict):
+        return list(result), np.array(list(result.values())).view(np.uint64).tolist()
+    return repr(result)
+
+
+@pytest.mark.parametrize("builder", FOCK_BUILDERS)
+def test_a_numpy_integer_order_builds_the_int_order_result(builder):
+    build = FOCK_BUILDERS[builder]
+    for n in (0, 4, 12):
+        assert _bits_of(build(np.int64(n))) == _bits_of(build(n))
+
+
+@pytest.mark.parametrize("builder", ["output_state", "bcjlss_output_state", "reference_output_state"])
+def test_an_order_zero_state_is_the_eps0_column_of_a_higher_order(builder):
+    low, high = FOCK_BUILDERS[builder](0), FOCK_BUILDERS[builder](4)
+    assert low.order == 0
+    assert np.array_equal(low.coeffs.view(np.uint64), high.coeffs[:, :1].view(np.uint64))
+    assert np.array_equal(low.mask, high.mask)

@@ -1,9 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nestedmzi.scenario import Scenario
 from nestedmzi.series import EpsSeries, inv_sqrt_one_plus_sq
 
 
@@ -125,6 +127,56 @@ def test_inv_sqrt_refuses_a_negative_order_every_time():
         with pytest.raises(ValueError):
             inv_sqrt_one_plus_sq(-1)
     assert inv_sqrt_one_plus_sq(0).coeffs == (1,)
+
+
+# Not an order: negative, a bool, a float, a string, None.
+BAD_ORDERS = [-1, -3, True, 2.5, "4", None]
+SERIES_BUILDERS = {
+    "inv_sqrt": ("order", inv_sqrt_one_plus_sq),
+    "const": ("order", lambda n: EpsSeries.const(1.0, n)),
+    "monomial-order": ("order", lambda n: EpsSeries.monomial(1.0, 0, n)),
+    "monomial-power": ("power", lambda n: EpsSeries.monomial(1.0, n, 4)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ORDERS, ids=repr)
+@pytest.mark.parametrize("builder", SERIES_BUILDERS)
+def test_every_series_builder_refuses_a_bad_order_every_time(builder, bad):
+    field, build = SERIES_BUILDERS[builder]
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got {re.escape(repr(bad))}$"):
+            build(bad)
+
+
+def test_a_refused_true_is_not_served_the_cached_order_one_row():
+    assert inv_sqrt_one_plus_sq(1).coeffs == (1, 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="got True$"):
+            inv_sqrt_one_plus_sq(True)
+
+
+@pytest.mark.parametrize("builder", SERIES_BUILDERS)
+def test_a_numpy_integer_order_builds_the_int_order_series(builder):
+    build = SERIES_BUILDERS[builder][1]
+    for n in (0, 4):
+        got, want = build(np.int64(n)), build(n)
+        assert np.array_equal(_bits(got), _bits(want))
+        assert all(type(c) is complex for c in got.coeffs)
+
+
+@pytest.mark.parametrize("value", [1.0, -0.0, 0.6 + 0.2j, -1e-300j, complex(math.nan, 1.0)])
+def test_const_is_the_order_zero_monomial_bit_for_bit(value):
+    for n in range(65):
+        want = _bits(EpsSeries((complex(value),) + (0j,) * n))
+        assert np.array_equal(_bits(EpsSeries.const(value, n)), want)
+        assert np.array_equal(_bits(EpsSeries.monomial(value, 0, n)), want)
+
+
+def test_scenario_series_order_follows_the_order_rule():
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^series_order must be an integer >= 0, got True$"):
+            Scenario(0.0, 1.0, series_order=True)
+    assert type(Scenario(0.0, 1.0, series_order=np.int64(5)).series_order) is int
 
 
 @pytest.mark.parametrize("combine", [EpsSeries.__add__, EpsSeries.__mul__], ids=["add", "mul"])
