@@ -11,7 +11,9 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0
 --seed 1`` for the file's ``run_seconds`` in a fresh interpreter and copies
 ``attempted``, ``failed`` and the end-to-end metrics from the run's last
 line. In this process it then times, in 5 repeats: each check of
-``validate.run_all``; both batched quadrature oracles, per field over the
+``validate.run_all``, warm and with the test data caches of ``validate``
+cleared before each pass (``validate_cold``, what a one-shot ``nestedmzi
+validate`` process pays); both batched quadrature oracles, per field over the
 1000 fields of the oracle check (``validate.oracle_fields``); the beam
 engine on 64, 1024 and 8192 samples of case a, and ``power_spectrum`` and
 ``attribute_peaks`` on the last two;
@@ -198,6 +200,14 @@ def cli_main_times() -> list:
         return repeat_times(lambda: cli.main(argv), CALLS)
 
 
+def run_all_cold() -> list:
+    """validate.run_all with no test data cached, as in a one-shot
+    ``nestedmzi validate`` process."""
+    for cached in validate._TEST_DATA:
+        cached.cache_clear()
+    return validate.run_all()
+
+
 def write_artifacts_cold(outdir, run) -> None:
     """spectra.write_artifacts with no CSV row template cached, as in the
     first write of a one-shot ``nestedmzi spectrum`` process."""
@@ -207,18 +217,20 @@ def write_artifacts_cold(outdir, run) -> None:
 
 def layer_timings() -> dict:
     """Best and median of 5 repeats of each validate check (interleaved
-    passes of validate.run_all) and of each layer above."""
-    passes = {check.__name__: [] for check in validate.ALL_CHECKS}
+    cold and warm passes of validate.run_all) and of each layer above."""
+    cold, warm = ({check.__name__: [] for check in validate.ALL_CHECKS} for _ in range(2))
     for _ in range(BEST_OF):
-        for check, result in zip(validate.ALL_CHECKS, validate.run_all()):
-            passes[check.__name__].append(result.seconds)
+        for passes, run_all in ((cold, run_all_cold), (warm, validate.run_all)):
+            for check, result in zip(validate.ALL_CHECKS, run_all()):
+                passes[check.__name__].append(result.seconds)
     run = spectra.run(standard_case("a"), "total", "exact")
     with tempfile.TemporaryDirectory() as outdir:
         write = repeat_times(lambda: spectra.write_artifacts(outdir, *run), CALLS)
         write_cold = repeat_times(lambda: write_artifacts_cold(outdir, run), CALLS)
     return {
         "best_of": BEST_OF,
-        **best_and_median("validate_check", passes),
+        **best_and_median("validate_check", warm),
+        **best_and_median("validate_cold", cold),
         **oracle_timings(),
         **best_and_median(
             "samples_per_call", {str(n): sample_layer_timings(n) for n in SAMPLE_COUNTS}

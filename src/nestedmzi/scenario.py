@@ -54,12 +54,6 @@ def path_weights(phi: float, kappa: float) -> tuple:
 
 DEFAULT_FREQS = {"A": 31.0, "B": 37.0, "C": 41.0, "E": 47.0, "F": 59.0}
 
-_CASE_PHI_KAPPA = {
-    "a": (math.pi, 1.0),
-    "b": (0.0, 1.0),
-    "c": (0.0, 0.0),
-}
-
 _FREQ_TOL = 1e-9
 
 
@@ -213,13 +207,21 @@ class Scenario:
         return replace(self, **kwargs)
 
 
+# Built once at import and shared: a Scenario is frozen and its per-mirror
+# maps are read-only, so no caller can change what another is handed.
+_STANDARD_CASES = {
+    "a": Scenario(phi=math.pi, kappa=1.0),
+    "b": Scenario(phi=0.0, kappa=1.0),
+    "c": Scenario(phi=0.0, kappa=0.0),
+}
+
+
 def standard_case(case_id: str) -> Scenario:
     """Canonical configurations: (a) phi=pi arm C open, (b) phi=0 arm C
-    open, (c) phi=0 arm C blocked."""
-    if case_id not in _CASE_PHI_KAPPA:
+    open, (c) phi=0 arm C blocked. Each call returns the same instance."""
+    if case_id not in _STANDARD_CASES:
         raise ValueError(f"unknown case {case_id!r}; expected one of a, b, c")
-    phi, kappa = _CASE_PHI_KAPPA[case_id]
-    return Scenario(phi=phi, kappa=kappa)
+    return _STANDARD_CASES[case_id]
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,12 @@ def inv_sqrt_one_plus_sq(order: int) -> EpsSeries:
     Only even powers appear; coefficient of eps^(2k) is
     (-1)^k * C(2k, k) / 4^k.
     """
-    return EpsSeries._of(_inv_sqrt_row(order))
+    try:
+        row = _inv_sqrt_row(order)
+    except TypeError:  # the cache hashes order first; an unhashable one is no order
+        _order("order", order)
+        raise
+    return EpsSeries._of(row)
 
 
 @functools.lru_cache(maxsize=16, typed=True)  # typed: a refused True never gets order 1's row

@@ -3,9 +3,14 @@
 Each check returns (name, passed, detail); run_all adds each check's wall
 time. The transcription check passes by CONFIRMING the documented extra
 "00011" term, not by agreement.
+
+Fixed test data that no code under test produces (the seeded random fields,
+the planted signal) is built once per process and read-only; every engine,
+oracle and builder a check tests still runs on every call.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -120,9 +125,18 @@ def random_fields(rng, count) -> tuple:
     return coeffs, shifts
 
 
+def _frozen(*arrays) -> tuple:
+    """arrays, each made read-only, as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.cache
 def oracle_fields() -> tuple:
-    """(coeffs, shifts) of the 1000 random fields of check_detector_oracles."""
-    return random_fields(np.random.default_rng(20240824), 1000)
+    """(coeffs, shifts) of the 1000 random fields of check_detector_oracles,
+    drawn on the first call and read-only."""
+    return _frozen(*random_fields(np.random.default_rng(20240824), 1000))
 
 
 def check_detector_oracles():
@@ -140,10 +154,17 @@ def check_detector_oracles():
     )
 
 
-def check_translation_invariance():
+@functools.cache
+def _translation_fields() -> tuple:
+    """(coeffs, shifts, moved) of check_translation_invariance: 200 seed-7
+    fields, and their shifts with one common offset per field added."""
     rng = np.random.default_rng(7)
     coeffs, shifts = random_fields(rng, 200)
-    moved = shifts + rng.uniform(-0.5, 0.5, 200)
+    return _frozen(coeffs, shifts, shifts + rng.uniform(-0.5, 0.5, 200))
+
+
+def check_translation_invariance():
+    coeffs, shifts, moved = _translation_fields()
     drift = beam.exact_intensity(coeffs, shifts) - beam.exact_intensity(coeffs, moved)
     worst = float(np.max(np.abs(drift)))
     return _result(
@@ -247,17 +268,27 @@ def check_parseval():
     )
 
 
-def check_attribution_soundness():
+_PLANTED_AMPS = {"A": 0.3, "B": 0.11, "C": 0.22, "E": 0.04, "F": 0.15}
+
+
+@functools.cache
+def _planted_signal() -> np.ndarray:
+    """Case a's window with a tone of _PLANTED_AMPS[m] at 2 f_m per mirror."""
     sc = standard_case("a")
     t = np.arange(sc.sample_count) / sc.sample_rate
-    amps = {"A": 0.3, "B": 0.11, "C": 0.22, "E": 0.04, "F": 0.15}
     x = np.zeros_like(t)
     for m in MIRRORS:
-        x += amps[m] * np.sin(2 * np.pi * 2 * sc.mirror_freq[m] * t)
-    ts = spectra.TimeSeries(x, sc.sample_rate)
+        x += _PLANTED_AMPS[m] * np.sin(2 * np.pi * 2 * sc.mirror_freq[m] * t)
+    x.flags.writeable = False
+    return x
+
+
+def check_attribution_soundness():
+    sc = standard_case("a")
+    ts = spectra.TimeSeries(_planted_signal(), sc.sample_rate)
     report = spectra.attribute_peaks(spectra.power_spectrum(ts), sc, "total")
     worst = max(
-        abs(report.mirrors[m]["power"] / (amps[m] ** 2 / 2) - 1) for m in MIRRORS
+        abs(report.mirrors[m]["power"] / (_PLANTED_AMPS[m] ** 2 / 2) - 1) for m in MIRRORS
     )
     return _result(
         "attribution recovers planted tone powers",
@@ -304,6 +335,11 @@ ALL_CHECKS = (
     check_attribution_soundness,
     check_spectral_cases,
 )
+
+
+# The builders of fixed test data, each cached; clearing them gives the cold
+# run of a new process.
+_TEST_DATA = (oracle_fields, _translation_fields, _planted_signal)
 
 
 def run_all():

@@ -73,7 +73,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     monkeypatch.setattr(bench, "BEST_OF", 1)
     monkeypatch.setattr(bench, "CALLS", 1)
     layers = json.loads(json.dumps(bench.layer_timings()))
-    timed = ("validate_check", "oracle_batched_per_field",
+    timed = ("validate_check", "validate_cold", "oracle_batched_per_field",
              "samples_per_call", "fock_per_call", "write_artifacts", "write_artifacts_cold",
              "cli_main")
     assert set(layers) == {"best_of", "oracle_fields"} | {
@@ -81,7 +81,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
     }
     assert layers["best_of"] == 1 and layers["oracle_fields"] == 1000
     names = [c.__name__ for c in bench.validate.ALL_CHECKS]
-    assert list(layers["validate_check_s"]) == names
+    assert list(layers["validate_check_s"]) == list(layers["validate_cold_s"]) == names
     for name in timed:
         best, median = layers[f"{name}_s"], layers[f"{name}_median_s"]
         # one repeat: the median is that repeat, as is the best
@@ -114,6 +114,7 @@ def test_layer_timings_cover_every_layer(monkeypatch):
         layers["write_artifacts_cold_s"],
         layers["cli_main_s"],
         *layers["validate_check_s"].values(),
+        *layers["validate_cold_s"].values(),
         *layers["oracle_batched_per_field_s"].values(),
         *(t for d in layers["samples_per_call_s"].values() for t in d.values()),
         *(t for d in layers["fock_per_call_s"].values() for t in d.values()),

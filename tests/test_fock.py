@@ -774,8 +774,9 @@ def test_norm_series_is_the_binomial_expansion_of_the_closed_form():
                 assert abs(c - want) <= 5e-15 * (k + 1) * total, (order, k, phi, kappa)
 
 
-# Not an order: negative, a bool, a float, a string, None.
-BAD_ORDERS = [-1, -3, True, 2.5, "4", None]
+# Not an order: negative, a bool, a float, a string, None, and unhashable
+# values, which the cached series row must refuse by the same rule.
+BAD_ORDERS = [-1, -3, True, 2.5, "4", None, [4], {}, np.array([4])]
 FOCK_BUILDERS = {
     "output_state": lambda n: output_state(0.7, 1.0, n),
     "bcjlss_output_state": lambda n: bcjlss_output_state(0.7, 1.0, n),

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
@@ -45,8 +46,27 @@ def test_standard_case_pure():
 
 
 def test_unknown_case_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown case 'd'; expected one of a, b, c$"):
         standard_case("d")
+
+
+@pytest.mark.parametrize("case", "abc")
+def test_standard_case_is_one_shared_frozen_instance(case):
+    sc = standard_case(case)
+    before = sc.to_dict()
+    assert standard_case(case) is sc
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.phi = 1.0
+    with pytest.raises(TypeError):
+        sc.mirror_freq["A"] = 1.0
+    with pytest.raises(TypeError):
+        sc.vib_amplitude["A"] = 1.0
+    # deriving and copying build new scenarios and leave the shared one as it was
+    assert sc.with_overrides(epsilon=0.02, mirror_freq={**DEFAULT_FREQS, "A": 29.0}) is not sc
+    for copied in (pickle.loads(pickle.dumps(sc)), copy.deepcopy(sc), copy.copy(sc)):
+        assert copied == sc
+        assert copied.to_dict() == before
+    assert standard_case(case).to_dict() == before
 
 
 @pytest.mark.parametrize(

@@ -129,8 +129,9 @@ def test_inv_sqrt_refuses_a_negative_order_every_time():
     assert inv_sqrt_one_plus_sq(0).coeffs == (1,)
 
 
-# Not an order: negative, a bool, a float, a string, None.
-BAD_ORDERS = [-1, -3, True, 2.5, "4", None]
+# Not an order: negative, a bool, a float, a string, None, and unhashable
+# values, which the cached series row must refuse by the same rule.
+BAD_ORDERS = [-1, -3, True, 2.5, "4", None, [4], {}, np.array([4])]
 SERIES_BUILDERS = {
     "inv_sqrt": ("order", inv_sqrt_one_plus_sq),
     "const": ("order", lambda n: EpsSeries.const(1.0, n)),

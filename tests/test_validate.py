@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from nestedmzi import beam, fock, spectra, validate
-from nestedmzi.scenario import standard_case
+from nestedmzi.scenario import MIRRORS, standard_case
 
 
 def test_derived_checks_pass_on_the_model():
@@ -131,3 +131,59 @@ def test_spectral_cases_detail_is_unchanged():
     assert validate.check_spectral_cases().detail == (
         "worst deviation 6.5 eps^2 of the top line (bound 10 eps^2)"
     )
+
+
+def _fresh_translation_fields():
+    rng = np.random.default_rng(7)
+    coeffs, shifts = validate.random_fields(rng, 200)
+    return coeffs, shifts, shifts + rng.uniform(-0.5, 0.5, 200)
+
+
+def _fresh_planted_signal():
+    sc = standard_case("a")
+    t = np.arange(sc.sample_count) / sc.sample_rate
+    amps = {"A": 0.3, "B": 0.11, "C": 0.22, "E": 0.04, "F": 0.15}
+    x = np.zeros_like(t)
+    for m in MIRRORS:
+        x += amps[m] * np.sin(2 * np.pi * 2 * sc.mirror_freq[m] * t)
+    return x
+
+
+# Each cached builder of validate._TEST_DATA, built afresh as the checks once did.
+FRESH_TEST_DATA = {
+    "oracle_fields": lambda: validate.random_fields(np.random.default_rng(20240824), 1000),
+    "_translation_fields": _fresh_translation_fields,
+    "_planted_signal": _fresh_planted_signal,
+}
+
+
+def test_every_cached_builder_is_tested():
+    assert [cached.__name__ for cached in validate._TEST_DATA] == list(FRESH_TEST_DATA)
+
+
+@pytest.mark.parametrize("name", FRESH_TEST_DATA)
+def test_cached_test_data_is_read_only_and_equals_a_fresh_build(name):
+    cached = getattr(validate, name)
+    got, want = cached(), FRESH_TEST_DATA[name]()
+    if isinstance(got, np.ndarray):
+        got, want = (got,), (want,)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert not a.flags.writeable
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    assert cached() is cached()  # built once
+
+
+def test_two_runs_in_one_process_give_the_same_results():
+    # the first run builds the test data, the second reads it from the caches
+    for cached in validate._TEST_DATA:
+        cached.cache_clear()
+    first, second = validate.run_all(), validate.run_all()
+    assert len(first) == len(validate.ALL_CHECKS)
+    assert all(r.passed for r in first)
+    assert [(r.name, r.passed, r.detail) for r in first] == [
+        (r.name, r.passed, r.detail) for r in second
+    ]
